@@ -33,9 +33,8 @@ from .structures import (Automorphism, EdgeLabelledGraph, PartialMap, Vertex,
 from .valuations import (FlipSet, GammaLStructure, IndexPermutation,
                          LanguagePermutation, ValuationFunction,
                          build_suitable_expansion, closure, compose,
-                         f_from_marks, flip_permute, invert, act_on_mark,
+                         f_from_marks, flip_permute, invert,
                          is_suitable_expansion, pad_bipartition,
-                         parity_function_from_marks,
                          suitable_expansion_violations)
 
 __version__ = "0.1.0"

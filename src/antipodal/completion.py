@@ -266,13 +266,77 @@ def shortest_path_completion(graph: EdgeLabelledGraph) -> EdgeLabelledGraph:
     return EdgeLabelledGraph(verts, top, edges)
 
 
+def solve_labels(verts, fixed: dict, domains: dict, gdesc) -> Iterator[dict]:
+    """Every labelling of the open pairs that closes no forbidden triangle.
+
+    ``fixed`` maps pairs of ``verts`` to their labels; ``domains`` maps each
+    open pair to its ordered candidate values.  Yields nothing when the fixed
+    labels already close a forbidden triangle.  Otherwise open pairs are
+    decided in ``domains`` order, values in candidate order, and a value is
+    rejected as soon as it closes a forbidden triangle with two labels already
+    present; every leaf is yielded as a dict holding the fixed and the chosen
+    labels.  The first leaf is the least labelling in that order.
+
+    Before the search each domain drops the values that close a forbidden
+    triangle with two fixed labels, and nothing is yielded if a domain
+    empties.  A dropped value belongs to no leaf, so the leaves and their
+    order stay the same.  Without this pass a pair that no value fits is met
+    only after every pair before it is chosen, and the search then tries
+    every combination of those choices.
+    """
+    known: dict = {}
+    for (u, v), label in fixed.items():
+        known[u, v] = known[v, u] = label
+
+    def closes_forbidden(u, v, a) -> bool:
+        for w in verts:
+            if w == u or w == v:
+                continue
+            x = known.get((u, w))
+            if x is None:
+                continue
+            y = known.get((v, w))
+            if y is not None and is_forbidden_triangle(a, x, y, gdesc):
+                return True
+        return False
+
+    if any(closes_forbidden(u, v, label) for (u, v), label in fixed.items()):
+        return
+    domains = {(u, v): [a for a in values if not closes_forbidden(u, v, a)]
+               for (u, v), values in domains.items()}
+    if not all(domains.values()):
+        return
+    open_pairs = list(domains)
+    tried = [0] * len(open_pairs)
+    pos = 0
+    while pos >= 0:
+        if pos == len(open_pairs):
+            yield {**fixed, **{pair: known[pair] for pair in open_pairs}}
+            pos -= 1
+            continue
+        u, v = open_pairs[pos]
+        values = domains[u, v]
+        k = tried[pos]
+        while k < len(values) and closes_forbidden(u, v, values[k]):
+            k += 1
+        if k == len(values):
+            tried[pos] = 0
+            known.pop((u, v), None)
+            known.pop((v, u), None)
+            pos -= 1
+            continue
+        known[u, v] = known[v, u] = values[k]
+        tried[pos] = k + 1
+        pos += 1
+
+
 def forbidden_cycle_oracle(cycle: CycleSpec, gdesc: GeneralClassDescriptor,
                            *, max_length: int = 8) -> bool:
     """True when no chord labelling completes the cycle into a member.
 
-    Decided by exhaustive backtracking over all chord labellings, pruning as
-    soon as a fully labelled triangle is forbidden.  Refuses cycles longer
-    than ``max_length``.
+    Decided by :func:`solve_labels` over all chord labellings: the cycle is
+    forbidden exactly when it has no first leaf.  Refuses cycles longer than
+    ``max_length``.
     """
     k = len(cycle)
     if k > max_length:
@@ -282,42 +346,10 @@ def forbidden_cycle_oracle(cycle: CycleSpec, gdesc: GeneralClassDescriptor,
     for label in cycle.labels:
         if not 1 <= label <= diameter:
             raise InputError(f"cycle label {label} outside 1..{diameter}")
-    fixed: dict[tuple[int, int], int] = {}
-    for i in range(k):
-        a, b = i, (i + 1) % k
-        fixed[(min(a, b), max(a, b))] = cycle.labels[i]
-    if k == 3:
-        return is_forbidden_triangle(*cycle.labels, gdesc)
-    chords = [(i, j) for i in range(k) for j in range(i + 1, k)
-              if (i, j) not in fixed]
-    assigned: dict[tuple[int, int], int] = {}
-
-    def value(i: int, j: int):
-        key = (min(i, j), max(i, j))
-        return fixed.get(key) or assigned.get(key)
-
-    def consistent(i: int, j: int, a: int) -> bool:
-        for t in range(k):
-            if t in (i, j):
-                continue
-            x, y = value(i, t), value(j, t)
-            if x is not None and y is not None and is_forbidden_triangle(a, x, y, gdesc):
-                return False
-        return True
-
-    def dfs(pos: int) -> bool:
-        if pos == len(chords):
-            return True
-        i, j = chords[pos]
-        for a in range(1, diameter + 1):
-            if consistent(i, j, a):
-                assigned[(i, j)] = a
-                if dfs(pos + 1):
-                    return True
-                del assigned[(i, j)]
-        return False
-
-    return not dfs(0)
+    fixed = {(i, (i + 1) % k): cycle.labels[i] for i in range(k)}
+    chords = {(i, j): range(1, diameter + 1) for i in range(k) for j in range(i + 2, k)
+              if (i, j) != (0, k - 1)}
+    return next(solve_labels(range(k), fixed, chords, gdesc), None) is None
 
 
 @dataclass(frozen=True)
@@ -484,94 +516,24 @@ def _complete_folded(folded: EdgeLabelledGraph, gdesc: GeneralClassDescriptor,
     """Fill the unlabelled pairs of a folded partial graph, or return ``None``.
 
     ``domains`` maps each unlabelled pair to its ordered candidate list; the
-    order encodes the selection policy.  Candidates are first pruned to a
-    fixpoint against decided pairs (input labels and singleton domains), then
-    a depth-first search over pairs in canonical order takes the first
-    assignment whose triangles all pass.  With canonical candidate order the
-    first leaf is exactly the per-pair canonical selection whenever that
-    selection is globally consistent.
+    order encodes the selection policy.  The answer is the first leaf of
+    :func:`solve_labels` over the pairs in canonical order.  With canonical
+    candidate order it is exactly the per-pair canonical selection whenever
+    that selection is globally consistent.
+
+    Domains are not pruned to a fixpoint against the input labels and the
+    one-value domains.  A value such pruning removes closes a forbidden
+    triangle with labels every full labelling must use, so it belongs to no
+    leaf: the leaves and their order are the same without it.
     """
-    verts = folded.vertices
     fixed = {(u, v): l for u, v, l in folded.edges()}
     for u, v in folded.pairs():
         key = (u, v)
         if key not in fixed and key not in domains:
             raise InputError(f"no candidate domain supplied for pair ({u!r}, {v!r})")
-    for (u, v), l in fixed.items():
-        for w in verts:
-            if w in (u, v):
-                continue
-            a, b = fixed.get(folded._key(u, w)), fixed.get(folded._key(v, w))
-            if a is not None and b is not None and is_forbidden_triangle(l, a, b, gdesc):
-                return None
-
-    work = {pair: list(dom) for pair, dom in domains.items()}
-    changed = True
-    while changed:
-        changed = False
-        decided = dict(fixed)
-        for pair, dom in work.items():
-            if len(dom) == 1:
-                decided[pair] = dom[0]
-
-        def known(u, v):
-            return decided.get((u, v)) or decided.get((v, u))
-
-        for (u, v), dom in work.items():
-            if len(dom) <= 1:
-                continue
-            kept = []
-            for a in dom:
-                ok = True
-                for w in verts:
-                    if w in (u, v):
-                        continue
-                    x, y = known(u, w), known(v, w)
-                    if x is not None and y is not None and \
-                            is_forbidden_triangle(a, x, y, gdesc):
-                        ok = False
-                        break
-                if ok:
-                    kept.append(a)
-            if len(kept) != len(dom):
-                work[(u, v)] = kept
-                changed = True
-        if any(not dom for dom in work.values()):
-            return None
-
-    order = sorted(work, key=lambda p: (folded.index(p[0]), folded.index(p[1])))
-    assignment: dict[tuple[Vertex, Vertex], int] = {}
-
-    def value(u, v):
-        for source in (fixed, assignment):
-            got = source.get((u, v)) or source.get((v, u))
-            if got is not None:
-                return got
-        return None
-
-    def dfs(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        u, v = order[pos]
-        for a in work[(u, v)]:
-            good = True
-            for w in verts:
-                if w in (u, v):
-                    continue
-                x, y = value(u, w), value(v, w)
-                if x is not None and y is not None and is_forbidden_triangle(a, x, y, gdesc):
-                    good = False
-                    break
-            if good:
-                assignment[(u, v)] = a
-                if dfs(pos + 1):
-                    return True
-                del assignment[(u, v)]
-        return False
-
-    if not dfs(0):
-        return None
-    return {**fixed, **assignment}
+    order = sorted(domains, key=lambda p: (folded.index(p[0]), folded.index(p[1])))
+    return next(solve_labels(folded.vertices, fixed, {p: domains[p] for p in order},
+                             gdesc), None)
 
 
 def antipodal_complete(graph: EdgeLabelledGraph, f: ParityFunction,

@@ -6,7 +6,10 @@ here is exhaustive and desk-scale: it enumerates every partial automorphism
 and hunts for the lexicographically least extension, so reports are
 reproducible.  For marked structures a partial automorphism carries a whole
 language permutation next to the partial vertex map, and an extension must
-keep that language part exactly.
+keep that language part exactly.  Every vertex map here, partial or total,
+enumerated or least, comes from the one backtracker
+:func:`~antipodal.structures.vertex_maps`; marked structures add one
+predicate, :func:`_structure_fits`, for marks and mates.
 
 The extension recipe turns a plain partial automorphism of a perfectly
 matched member into a verified marked-structure partial automorphism of its
@@ -21,13 +24,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .completion import OrientationSet, _orientation_args
+from .completion import OrientationSet, _orientation_args, solve_labels
 from .errors import InputError, SizeLimitError
 from .membership import (ClassDescriptor, Variant, antipodal_closure,
-                         delta_matching, is_forbidden_triangle, is_member,
-                         parity_parts)
+                         delta_matching, is_member, parity_parts)
 from .structures import (Automorphism, EdgeLabelledGraph, PartialMap,
-                         automorphisms, partial_automorphisms)
+                         automorphisms, partial_automorphisms, vertex_maps)
 from .valuations import (FlipSet, GammaLStructure, IndexPermutation,
                          LanguagePermutation, ValuationFunction,
                          build_suitable_expansion, flip_permute,
@@ -86,140 +88,37 @@ def _check_gamma_substructure(small: GammaLStructure, big: GammaLStructure):
         raise InputError("structures use different valuation sizes")
 
 
-def _least_plain_extension(big: EdgeLabelledGraph, seed: PartialMap):
-    """Lexicographically least automorphism of ``big`` extending ``seed``."""
-    verts = big.vertices
-    assigned = dict(seed.pairs)
-    used = set(assigned.values())
-    todo = [v for v in verts if v not in assigned]
+def _structure_fits(structure: GammaLStructure, lang: LanguagePermutation | None = None):
+    """The ``fits`` predicate of :func:`vertex_maps` on a marked structure.
 
-    def consistent(v, t):
-        return all(big.dist(v, s) == big.dist(t, ft) for s, ft in assigned.items())
+    ``v -> t`` fits when ``t`` is marked exactly when ``v`` is, has a mate
+    exactly when ``v`` has, and the map commutes with the mate map on the
+    vertices already mapped.  With ``lang`` the mark of ``v`` must go to the
+    mark of ``t``.  Without it only the mark pattern is kept (two marks share
+    an index exactly when the marks of their images do), and the caller pairs
+    each map with its compatible language permutations.
+    """
+    mark, mate = structure.mark, structure.mate
 
-    def rec(k: int):
-        if k == len(todo):
-            return Automorphism(frozenset(assigned.items()))
-        v = todo[k]
-        for t in verts:
-            if t in used or not consistent(v, t):
-                continue
-            assigned[v] = t
-            used.add(t)
-            out = rec(k + 1)
-            if out is not None:
-                return out
-            del assigned[v]
-            used.remove(t)
-        return None
-
-    return rec(0)
-
-
-def _least_gamma_extension(big: GammaLStructure, lang: LanguagePermutation,
-                           seed: PartialMap):
-    """Least total vertex map of ``big`` that, with ``lang``, is an automorphism."""
-    verts = big.vertices
-    base = big.base
-    assigned = dict(seed.pairs)
-    used = set(assigned.values())
-    todo = [v for v in verts if v not in assigned]
-
-    def mark_ok(v, t):
-        mv, mt = big.mark(v), big.mark(t)
+    def fits(v, t, assigned) -> bool:
+        mv, mt = mark(v), mark(t)
         if (mv is None) != (mt is None):
             return False
-        return mv is None or lang.act(mv) == mt
-
-    def consistent(v, t):
-        if not mark_ok(v, t):
+        if lang is not None and mv is not None and lang.act(mv) != mt:
             return False
-        mate = big.mate(v)
-        if (mate is None) != (big.mate(t) is None):
-            return False
-        if mate is not None and mate in assigned and assigned[mate] != big.mate(t):
+        mate_v, mate_t = mate(v), mate(t)
+        if (mate_v is None) != (mate_t is None):
             return False
         for s, ft in assigned.items():
-            if base.dist(v, s) != base.dist(t, ft):
+            if (s == mate_v and ft != mate_t) or (mate(s) == v and mate(ft) != t):
                 return False
-            if big.mate(s) == v and big.mate(ft) != t:
-                return False
-        return True
-
-    def rec(k: int):
-        if k == len(todo):
-            return Automorphism(frozenset(assigned.items()))
-        v = todo[k]
-        for t in verts:
-            if t in used or not consistent(v, t):
-                continue
-            assigned[v] = t
-            used.add(t)
-            out = rec(k + 1)
-            if out is not None:
-                return out
-            del assigned[v]
-            used.remove(t)
-        return None
-
-    for s, t in list(seed.pairs):
-        if not mark_ok(s, t):
-            return None
-    return rec(0)
-
-
-def _gamma_vertex_maps(structure: GammaLStructure, *, partial: bool) -> Iterator[PartialMap]:
-    """Vertex maps preserving distances, mates, and the mark pattern.
-
-    Domains are closed under the mate map.  The mark pattern constraint is
-    necessary only (marked goes to marked, shared indices stay shared); the
-    caller pairs each map with its compatible language permutations.
-    """
-    verts = structure.vertices
-    base = structure.base
-    n = len(verts)
-
-    def consistent(pairs: list, v, t):
-        mv, mt = structure.mark(v), structure.mark(t)
-        if (mv is None) != (mt is None):
-            return False
-        mate = structure.mate(v)
-        if (mate is None) != (structure.mate(t) is None):
-            return False
-        for s, ft in pairs:
-            if base.dist(v, s) != base.dist(t, ft):
-                return False
-            ms = structure.mark(s)
-            if mv is not None and ms is not None:
-                if (mv[0] == ms[0]) != (mt[0] == structure.mark(ft)[0]):
+            if lang is None and mv is not None:
+                ms = mark(s)
+                if ms is not None and (mv[0] == ms[0]) != (mt[0] == mark(ft)[0]):
                     return False
-            if mate is not None and s == mate and ft != structure.mate(t):
-                return False
-            if structure.mate(s) == v and structure.mate(ft) != t:
-                return False
         return True
 
-    def rec(k: int, pairs: list, used: set, dropped: set) -> Iterator[PartialMap]:
-        if k == n:
-            yield PartialMap(frozenset(pairs))
-            return
-        v = verts[k]
-        if partial and all(structure.mate(s) != v for s, _ in pairs):
-            dropped.add(v)
-            yield from rec(k + 1, pairs, used, dropped)
-            dropped.remove(v)
-        mate = structure.mate(v)
-        if mate is not None and mate in dropped:
-            return
-        for t in verts:
-            if t in used or not consistent(pairs, v, t):
-                continue
-            pairs.append((v, t))
-            used.add(t)
-            yield from rec(k + 1, pairs, used, dropped)
-            pairs.pop()
-            used.remove(t)
-
-    yield from rec(0, [], set(), set())
+    return fits
 
 
 def compatible_language_parts(structure: GammaLStructure, vmap: PartialMap,
@@ -306,17 +205,24 @@ def gamma_automorphisms(structure: GammaLStructure, *, max_vertices: int = 12,
             f"automorphism enumeration is bounded at {max_vertices} vertices",
             max_vertices)
     out = []
-    for vmap in _gamma_vertex_maps(structure, partial=False):
+    for pairs in vertex_maps(structure.base, fits=_structure_fits(structure)):
+        vmap = Automorphism(pairs)
         for lang in compatible_language_parts(structure, vmap, lang_partition):
-            out.append(GammaPartialAutomorphism(lang, Automorphism(vmap.pairs)))
+            out.append(GammaPartialAutomorphism(lang, vmap))
     return out
 
 
 def gamma_partial_automorphisms(structure: GammaLStructure,
                                 lang_partition: tuple[frozenset, frozenset] | None = None
                                 ) -> Iterator[GammaPartialAutomorphism]:
-    """Every partial automorphism of a marked structure, lazily."""
-    for vmap in _gamma_vertex_maps(structure, partial=True):
+    """Every partial automorphism of a marked structure, lazily.
+
+    Vertex maps come from :func:`vertex_maps` with mate-closed domains, in its
+    depth-first order; each is paired with its compatible language parts.
+    """
+    for pairs in vertex_maps(structure.base, partial=True,
+                             fits=_structure_fits(structure), mate=structure.mate):
+        vmap = PartialMap(pairs)
         for lang in compatible_language_parts(structure, vmap, lang_partition):
             yield GammaPartialAutomorphism(lang, vmap)
 
@@ -348,7 +254,7 @@ def extend_partial_automorphism(expansion: GammaLStructure, phi,
     result.
     """
     _orientation_args(desc, orientation)
-    graph = expansion.reduct()
+    graph = expansion.base
     matching = _canonical_layout(expansion, desc)
     if not isinstance(phi, PartialMap):
         phi = PartialMap.of(phi)
@@ -454,20 +360,23 @@ def verify_eppa_witness(small, big, mode: str = "plain", *,
         _check_substructure(small, big)
         for pm in partial_automorphisms(small):
             checked += 1
-            ext = _least_plain_extension(big, pm)
+            ext = next(vertex_maps(big, seed=pm.pairs), None)
             if ext is None:
                 return WitnessReport(False, mode, checked, counterexample=pm)
-            table[pm] = ext
+            table[pm] = Automorphism(ext)
         return WitnessReport(True, mode, checked, extension_table=table)
     if not isinstance(small, GammaLStructure) or not isinstance(big, GammaLStructure):
         raise InputError("gamma mode works on marked structures")
     _check_gamma_substructure(small, big)
     for gpa in gamma_partial_automorphisms(small, lang_partition):
         checked += 1
-        ext = _least_gamma_extension(big, gpa.lang, gpa.vmap)
+        fits = _structure_fits(big, gpa.lang)
+        ext = None
+        if all(fits(s, t, {}) for s, t in gpa.vmap.pairs):
+            ext = next(vertex_maps(big.base, seed=gpa.vmap.pairs, fits=fits), None)
         if ext is None:
             return WitnessReport(False, mode, checked, counterexample=gpa)
-        table[gpa] = GammaPartialAutomorphism(gpa.lang, ext)
+        table[gpa] = GammaPartialAutomorphism(gpa.lang, Automorphism(ext))
     return WitnessReport(True, mode, checked, extension_table=table)
 
 
@@ -511,8 +420,9 @@ def witness_candidates(graph: EdgeLabelledGraph, desc: ClassDescriptor,
     Fresh vertices are interchangeable until labelled, so the matching layout
     is canonical: each unmatched input vertex mates the next fresh vertex, and
     leftover fresh vertices pair up consecutively.  Only the folded distances
-    between fresh edges remain free; they are enumerated in canonical order
-    with forbidden-triangle pruning, which makes the stream deterministic.
+    between fresh edges remain free; every leaf of :func:`solve_labels` over
+    them, in canonical order, is unfolded and kept when it is a member, which
+    makes the stream deterministic.
     """
     if not is_member(graph, desc):
         raise InputError("witness candidates extend class members")
@@ -549,49 +459,24 @@ def witness_candidates(graph: EdgeLabelledGraph, desc: ClassDescriptor,
         skeleton = EdgeLabelledGraph(vertices, delta, fixed_edges)
         matching = delta_matching(skeleton)
         reps = [x for x, _ in matching.edges]
-        unknown = [(u, v) for i, u in enumerate(reps) for v in reps[i + 1:]
-                   if skeleton.dist(u, v) is None]
-
-        def folded_value(assignment, u, v):
-            got = skeleton.dist(u, v)
-            if got is not None:
-                return got
-            return assignment.get((u, v)) or assignment.get((v, u))
-
-        def fill(pos: int, assignment: dict) -> Iterator[EdgeLabelledGraph]:
-            if pos == len(unknown):
-                edges = list(skeleton.edges())
-                have = {frozenset((u, v)) for u, v, _ in edges}
-                for (u, v), b in assignment.items():
-                    for p, q, lab in ((u, v, b),
-                                      (matching.mate(u), matching.mate(v), b),
-                                      (u, matching.mate(v), delta - b),
-                                      (matching.mate(u), v, delta - b)):
-                        if frozenset((p, q)) not in have:
-                            edges.append((p, q, lab))
-                            have.add(frozenset((p, q)))
-                candidate = EdgeLabelledGraph(vertices, delta, edges)
-                if candidate.is_complete() and is_member(candidate, desc):
-                    yield candidate
-                return
-            u, v = unknown[pos]
-            for b in range(1, delta):
-                ok = True
-                for w in reps:
-                    if w in (u, v):
-                        continue
-                    x = folded_value(assignment, u, w)
-                    y = folded_value(assignment, v, w)
-                    if x is not None and y is not None and \
-                            is_forbidden_triangle(b, x, y, gdesc):
-                        ok = False
-                        break
-                if ok:
-                    assignment[(u, v)] = b
-                    yield from fill(pos + 1, assignment)
-                    del assignment[(u, v)]
-
-        yield from fill(0, {})
+        fixed = {}
+        domains = {}
+        for i, u in enumerate(reps):
+            for v in reps[i + 1:]:
+                label = skeleton.dist(u, v)
+                if label is None:
+                    domains[u, v] = range(1, delta)
+                else:
+                    fixed[u, v] = label
+        for labels in solve_labels(reps, fixed, domains, gdesc):
+            edges = list(skeleton.edges())
+            for u, v in domains:
+                b = labels[u, v]
+                mu, mv = matching.mate(u), matching.mate(v)
+                edges += [(u, v, b), (mu, mv, b), (u, mv, delta - b), (mu, v, delta - b)]
+            candidate = EdgeLabelledGraph(vertices, delta, edges)
+            if candidate.is_complete() and is_member(candidate, desc):
+                yield candidate
 
 
 def search_witness(graph: EdgeLabelledGraph, desc: ClassDescriptor,
@@ -764,7 +649,7 @@ def pipeline(graph: EdgeLabelledGraph, desc: ClassDescriptor,
         except InputError as exc:
             return PipelineResult(False, "witness-validation", str(exc), closed,
                                   expansion)
-        reduct = supplied.reduct()
+        reduct = supplied.base
         if not is_member(reduct, desc):
             return PipelineResult(False, "witness-validation",
                                   "supplied witness is not a class member",

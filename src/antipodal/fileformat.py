@@ -145,9 +145,20 @@ def read_structure_file(path) -> StructureFile:
 
 
 def write_structure_text(parsed: StructureFile) -> str:
+    """Canonical text of ``parsed``; refuses vertices the reader cannot load.
+
+    A vertex is written as one token, so it must be a non-empty string
+    without whitespace or ``#``; anything else raises :class:`FormatError`
+    instead of producing a file that reads back differently or not at all.
+    """
     lines = [f"elg {FORMAT_VERSION}"]
     structure = parsed.structure
     base = parsed.graph
+    for v in base.vertices:
+        if not isinstance(v, str) or not v or "#" in v or any(c.isspace() for c in v):
+            raise FormatError(
+                f"vertex {v!r} cannot be written: names are non-empty strings "
+                "without whitespace or '#'")
     lines.append(f"delta {base.delta}")
     if parsed.descriptor is not None:
         lines.append(f"K {parsed.descriptor.K}")

@@ -5,6 +5,11 @@ graph whose edges carry integer labels from ``{1..delta}``.  The label map is
 partial and symmetric; self-labels are never stored.  Vertex insertion order
 doubles as the canonical total order used by every deterministic tie-break in
 the package (fold representatives, matching enumeration, search orders).
+
+:func:`vertex_maps` is the one enumeration path for vertex maps: plain and
+marked automorphisms, partial automorphisms and least extensions are all
+depth-first walks of it, differing only in a seed, a consistency predicate
+and a mate map.
 """
 
 from __future__ import annotations
@@ -221,44 +226,65 @@ class PartialMap:
 class Automorphism(PartialMap):
     """Total label-preserving vertex bijection; same value semantics as PartialMap."""
 
-    def apply(self, v):
-        return self[v]
+
+def vertex_maps(graph: EdgeLabelledGraph, *, seed=(), partial: bool = False,
+                fits=None, mate=None) -> Iterator[frozenset]:
+    """Label-preserving injective vertex maps, depth first, as pair frozensets.
+
+    The maps extend ``seed`` (pairs taken as given).  Every other vertex is
+    decided in canonical order: first left out of the domain when ``partial``,
+    then sent to each unused target in canonical order that keeps the labels
+    to the vertices already mapped and passes ``fits(v, t, assigned)``.
+    With ``mate`` (a partial function on vertices) domains stay closed under
+    it: a vertex whose mate is mapped cannot be left out, and a vertex whose
+    mate was left out is not mapped.  Without ``partial`` only total maps are
+    yielded, so ``next(vertex_maps(...), None)`` is the least total extension.
+    """
+    verts = graph.vertices
+    dist = graph.dist
+    assigned = dict(seed)
+    used = set(assigned.values())
+    todo = [v for v in verts if v not in assigned]
+    dropped: set = set()
+
+    def rec(k: int) -> Iterator[frozenset]:
+        if k == len(todo):
+            yield frozenset(assigned.items())
+            return
+        v = todo[k]
+        if partial and (mate is None or all(mate(s) != v for s in assigned)):
+            dropped.add(v)
+            yield from rec(k + 1)
+            dropped.remove(v)
+        if mate is not None and mate(v) is not None and mate(v) in dropped:
+            return
+        for t in verts:
+            if t in used or (fits is not None and not fits(v, t, assigned)):
+                continue
+            if any(dist(v, s) != dist(t, ft) for s, ft in assigned.items()):
+                continue
+            assigned[v] = t
+            used.add(t)
+            yield from rec(k + 1)
+            del assigned[v]
+            used.remove(t)
+
+    return rec(0)
 
 
 def automorphisms(graph: EdgeLabelledGraph, *, max_vertices: int = 10) -> list[Automorphism]:
     """All label-pattern preserving bijections of the vertex set.
 
-    Exhaustive backtracking; refuses graphs larger than ``max_vertices``.  The
-    result is sorted by image tuple in canonical vertex order, so it is stable
-    across runs.
+    Exhaustive backtracking through :func:`vertex_maps`; refuses graphs larger
+    than ``max_vertices``.  The result is sorted by image tuple in canonical
+    vertex order, so it is stable across runs.
     """
     n = len(graph)
     if n > max_vertices:
         raise SizeLimitError(
             f"automorphism enumeration is bounded at {max_vertices} vertices (got {n})",
             max_vertices)
-    verts = graph.vertices
-    found: list[Automorphism] = []
-    images: list = []
-    used: set = set()
-
-    def rec(k: int):
-        if k == n:
-            found.append(Automorphism(frozenset(zip(verts, images))))
-            return
-        v = verts[k]
-        for t in verts:
-            if t in used:
-                continue
-            if all(graph.dist(v, verts[i]) == graph.dist(t, images[i]) for i in range(k)):
-                images.append(t)
-                used.add(t)
-                rec(k + 1)
-                images.pop()
-                used.remove(t)
-
-    rec(0)
-    return found
+    return [Automorphism(pairs) for pairs in vertex_maps(graph)]
 
 
 def partial_automorphisms(graph: EdgeLabelledGraph) -> Iterator[PartialMap]:
@@ -266,29 +292,10 @@ def partial_automorphisms(graph: EdgeLabelledGraph) -> Iterator[PartialMap]:
 
     The count grows super-exponentially with the vertex count, which is why
     this is an iterator: callers bound consumption.  The empty map comes
-    first; the order is otherwise a fixed depth-first order over the canonical
-    vertex sequence.
+    first; the order is otherwise the depth-first order of :func:`vertex_maps`
+    over the canonical vertex sequence.
     """
-    verts = graph.vertices
-    n = len(verts)
-
-    def rec(k: int, pairs: list, used: set) -> Iterator[PartialMap]:
-        if k == n:
-            yield PartialMap(frozenset(pairs))
-            return
-        v = verts[k]
-        yield from rec(k + 1, pairs, used)  # leave v outside the domain
-        for t in verts:
-            if t in used:
-                continue
-            if all(graph.dist(v, s) == graph.dist(t, ft) for s, ft in pairs):
-                pairs.append((v, t))
-                used.add(t)
-                yield from rec(k + 1, pairs, used)
-                pairs.pop()
-                used.remove(t)
-
-    yield from rec(0, [], set())
+    return (PartialMap(pairs) for pairs in vertex_maps(graph, partial=True))
 
 
 def is_irreducible(structure) -> bool:

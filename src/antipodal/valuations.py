@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .completion import OrientationSet, ParityFunction, _label_side_ok, _orientation_args
+from .completion import OrientationSet, _label_side_ok, _orientation_args
 from .errors import CompletionError, InputError
 from .membership import (ClassDescriptor, DeltaMatching, Variant, delta_matching,
                          is_member, parity_parts)
@@ -230,10 +230,6 @@ def flip_permute(chi: ValuationFunction, flip_positions: Iterable[int],
     return chi.flipped(flip_positions).permuted(psi)
 
 
-def act_on_mark(g: LanguagePermutation, mark: Mark) -> Mark:
-    return g.act(mark)
-
-
 def compose(g: LanguagePermutation, h: LanguagePermutation) -> LanguagePermutation:
     """Normal form of ``g`` after ``h`` (``compose(g, h).act == g.act(h.act(.))``)."""
     if g.size != h.size:
@@ -351,10 +347,6 @@ class GammaLStructure:
     def fully_marked(self) -> bool:
         return len(self._marks) == len(self._base)
 
-    def reduct(self) -> EdgeLabelledGraph:
-        """Forget marks and mates."""
-        return self._base
-
     def induced(self, keep: Iterable[Vertex]) -> "GammaLStructure":
         wanted = set(keep)
         for v in wanted:
@@ -405,12 +397,6 @@ def f_from_marks(structure: GammaLStructure, u: Vertex, v: Vertex) -> int:
         raise InputError("the pair function is defined on distinct vertices")
     return 0 if structure.valuation(u)(structure.mark_index(v)) == \
         structure.valuation(v)(structure.mark_index(u)) else 1
-
-
-def parity_function_from_marks(structure: GammaLStructure) -> ParityFunction:
-    """The disagreement bits of all pairs, as a total parity function."""
-    return ParityFunction([(u, v, f_from_marks(structure, u, v))
-                           for u, v in structure.base.pairs()])
 
 
 def _side_bit(label: int, desc: ClassDescriptor, orientation: OrientationSet | None) -> int:

@@ -66,6 +66,33 @@ def brute_partial_automorphisms(g: EdgeLabelledGraph) -> set[PartialMap]:
     return out
 
 
+def brute_gamma_vertex_maps(structure) -> set[PartialMap]:
+    """Oracle: injective partial maps of a marked structure, filtered.
+
+    A map is kept when it preserves labels, its domain is closed under the
+    mate map, it commutes with the mate map, and it keeps the mark pattern:
+    marked vertices go to marked vertices, and two marks share an index
+    exactly when the marks of their images do.
+    """
+    mate, mark = structure.mate, structure.mark
+    out = set()
+    for pm in brute_partial_automorphisms(structure.base):
+        m = pm.mapping()
+        if any(mate(v) is not None and mate(v) not in m for v in m):
+            continue
+        if any((mate(v) is None) != (mate(t) is None) or
+               (mate(v) is not None and m[mate(v)] != mate(t)) for v, t in m.items()):
+            continue
+        if any((mark(v) is None) != (mark(t) is None) for v, t in m.items()):
+            continue
+        marked = [v for v in m if mark(v) is not None]
+        if any((mark(a)[0] == mark(b)[0]) != (mark(m[a])[0] == mark(m[b])[0])
+               for a, b in itertools.combinations(marked, 2)):
+            continue
+        out.add(pm)
+    return out
+
+
 def all_complete_graphs(vertices, delta):
     """Every complete labelling of the given vertices."""
     verts = tuple(vertices)

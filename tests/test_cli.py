@@ -1,12 +1,17 @@
 import io
+import itertools
 import pathlib
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antipodal.cli import run
-from antipodal.fileformat import (read_structure_file, read_structure_text,
-                                  write_structure_text)
-from antipodal import FormatError, GammaLStructure
+from antipodal.fileformat import (StructureFile, read_structure_file,
+                                  read_structure_text, write_structure_text)
+from antipodal import (ClassDescriptor, EdgeLabelledGraph, FormatError,
+                       GammaLStructure, ParityFunction, ValuationFunction)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -59,6 +64,50 @@ class TestFileFormat:
     def test_unknown_directive_rejected(self):
         with pytest.raises(FormatError, match="unknown directive"):
             read_structure_text("elg 1\ndelta 3\nnonsense a b\n")
+
+    @pytest.mark.parametrize("name", ["a#b", "a b", "", "a\tb", 7])
+    def test_writer_refuses_names_the_reader_rejects(self, name):
+        parsed = StructureFile(EdgeLabelledGraph([name, "z"], 3, [(name, "z", 1)]))
+        with pytest.raises(FormatError, match="cannot be written"):
+            write_structure_text(parsed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_written_text_reads_back_or_is_refused(self, data):
+        names = data.draw(st.lists(st.one_of(st.text(max_size=3), st.integers(0, 9)),
+                                   min_size=1, max_size=5, unique=True))
+        delta = data.draw(st.integers(1, 4))
+        pairs = list(itertools.combinations(names, 2))
+        labels = data.draw(st.lists(st.none() | st.integers(1, delta),
+                                    min_size=len(pairs), max_size=len(pairs)))
+        base = EdgeLabelledGraph(names, delta, [(u, v, l) for (u, v), l in
+                                                zip(pairs, labels) if l is not None])
+        structure = base
+        if data.draw(st.booleans()):
+            valuations = st.tuples(st.integers(0, 1), st.integers(0, 1)).map(ValuationFunction)
+            marks = data.draw(st.dictionaries(st.sampled_from(names),
+                                              st.tuples(st.integers(1, 2), valuations)))
+            mates = data.draw(st.dictionaries(st.sampled_from(names), st.sampled_from(names)))
+            if marks or mates:
+                structure = GammaLStructure(base, mates, marks)
+        parity = None
+        if pairs and data.draw(st.booleans()):
+            parity = ParityFunction(data.draw(st.dictionaries(
+                st.sampled_from(pairs), st.integers(0, 1), min_size=1)))
+        descriptor = ClassDescriptor(3, 1) if delta == 3 and data.draw(st.booleans()) else None
+        parsed = StructureFile(structure, descriptor, parity)
+        if all(isinstance(v, str) and re.fullmatch(r"[A-Za-z0-9_'*+.-]+", v) for v in names):
+            text = write_structure_text(parsed)
+        else:
+            try:
+                text = write_structure_text(parsed)
+            except FormatError:
+                return
+        back = read_structure_text(text)
+        assert back.structure == structure
+        assert back.descriptor == descriptor
+        assert back.parity == parity
+        assert write_structure_text(back) == text
 
 
 class TestExitCodes:

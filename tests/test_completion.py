@@ -11,6 +11,8 @@ from antipodal import (ClassDescriptor, CompletionError, CycleSpec,
                        is_completion_of, is_member, local_finiteness_bound,
                        shortest_path_completion)
 
+from antipodal.completion import _canonical_cycles
+
 from conftest import brute_completions, graph, random_connected_partial
 
 
@@ -97,6 +99,16 @@ class TestForbiddenCycleOracle:
             from antipodal import is_forbidden_triangle
             assert forbidden_cycle_oracle(CycleSpec(t), gdesc) == \
                 is_forbidden_triangle(*t, gdesc)
+
+    @pytest.mark.parametrize("delta,K", [(3, 1), (4, 4), (5, 2)])
+    def test_oracle_agrees_with_brute_completions(self, delta, K):
+        gdesc = ClassDescriptor(delta, K).folded()
+        for k in range(4, 7):
+            for labels in _canonical_cycles(k, gdesc.diameter):
+                cycle = graph(range(k), gdesc.diameter,
+                              [(i, (i + 1) % k, labels[i]) for i in range(k)])
+                assert forbidden_cycle_oracle(CycleSpec(labels), gdesc) == \
+                    (not brute_completions(cycle, gdesc, limit=0)), labels
 
     def test_length_refusal(self):
         gdesc = ClassDescriptor(3, 1).folded()

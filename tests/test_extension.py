@@ -5,16 +5,16 @@ import pytest
 from antipodal import (ClassDescriptor, FlipSet, GammaLStructure,
                        GammaPartialAutomorphism, IndexPermutation, InputError,
                        LanguagePermutation, OrientationSet, PartialMap,
-                       ValuationFunction, automorphisms,
+                       ValuationFunction, Variant, automorphisms,
                        build_suitable_expansion, compatible_language_parts,
                        delta_matching, expand_witness,
                        extend_partial_automorphism, f_from_marks,
                        gamma_automorphisms, gamma_partial_automorphisms,
-                       is_member, partial_automorphisms, pipeline,
-                       search_witness, verify_eppa_witness,
+                       is_member, pad_bipartition, partial_automorphisms,
+                       pipeline, search_witness, verify_eppa_witness,
                        verify_irreducible_faithful, witness_candidates)
 
-from conftest import graph, matched_members
+from conftest import brute_gamma_vertex_maps, graph, matched_members
 
 
 def vf(bits):
@@ -110,6 +110,28 @@ class TestGammaAutomorphisms:
         plain = {a.pairs for a in automorphisms(quadruple)}
         for aut in gamma_automorphisms(quad_expansion):
             assert aut.vmap.pairs in plain
+
+    @pytest.mark.parametrize("delta,K", [(3, 1), (5, 2), (4, 4)])
+    def test_partial_vertex_maps_match_brute_force(self, delta, K):
+        desc = ClassDescriptor(delta, K)
+        orientation = None
+        if desc.variant is Variant.EVEN_BIPARTITE:
+            orientation = OrientationSet.default(delta)
+        checked = 0
+        for n in (2, 4):
+            for g in matched_members([f"v{i}" for i in range(n)], desc):
+                if orientation is not None:
+                    g = pad_bipartition(g, desc)
+                if len(g) > 4:
+                    continue
+                expansion = build_suitable_expansion(g, desc, orientation)
+                got = list(gamma_partial_automorphisms(expansion))
+                assert len(set(got)) == len(got)
+                oracle = {pm for pm in brute_gamma_vertex_maps(expansion)
+                          if compatible_language_parts(expansion, pm)}
+                assert {gpa.vmap for gpa in got} == oracle
+                checked += 1
+        assert checked
 
 
 class TestVerifyWitness:
@@ -256,13 +278,11 @@ class TestPipeline:
 
     def test_quadruple_search_finds_a_bigger_witness(self, quadruple, desc31):
         # the quadruple expansion is not its own language-level witness, so
-        # the pipeline keeps searching; cap the size to keep this quick
+        # the pipeline keeps searching and finds one on 8 vertices
         result = pipeline(quadruple, desc31, "search", max_vertices=8)
-        if result.ok:
-            assert len(result.witness) > 4
-            assert is_member(result.witness, desc31)
-        else:
-            assert result.stage == "witness-search"
+        assert result.ok and result.stage == "done"
+        assert len(result.witness) == 8
+        assert is_member(result.witness, desc31)
 
     def test_bipartite_single_edge(self):
         desc = ClassDescriptor(4, 4)

@@ -6,7 +6,7 @@ import pytest
 from antipodal import (ClassDescriptor, EdgeLabelledGraph, FlipSet,
                        GammaLStructure, IndexPermutation, InputError,
                        LanguagePermutation, OrientationSet, ValuationFunction,
-                       act_on_mark, build_suitable_expansion, closure, compose,
+                       build_suitable_expansion, closure, compose,
                        delta_matching, f_from_marks, flip_permute, invert,
                        is_member, is_suitable_expansion, pad_bipartition,
                        parity_parts, suitable_expansion_violations)
@@ -115,8 +115,8 @@ class TestComposeInvert:
     def test_act_examples(self):
         g = LanguagePermutation(IndexPermutation.identity(2),
                                 FlipSet.symmetric([(1, 1), (1, 2)]))
-        assert act_on_mark(g, (1, vf((0, 0)))) == (1, vf((1, 1)))
-        assert act_on_mark(g, (2, vf((1, 0)))) == (2, vf((0, 0)))
+        assert g.act((1, vf((0, 0)))) == (1, vf((1, 1)))
+        assert g.act((2, vf((1, 0)))) == (2, vf((0, 0)))
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(InputError):
