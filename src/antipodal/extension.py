@@ -98,14 +98,19 @@ def _structure_fits(structure: GammaLStructure, lang: LanguagePermutation | None
     an index exactly when the marks of their images do), and the caller pairs
     each map with its compatible language permutations.
     """
-    mark, mate = structure.mark, structure.mate
+    mark = {v: structure.mark(v) for v in structure.vertices}.get
+    mate = {v: structure.mate(v) for v in structure.vertices}.get
+    moved: dict = {}  # v -> the image of its mark under lang
 
     def fits(v, t, assigned) -> bool:
         mv, mt = mark(v), mark(t)
         if (mv is None) != (mt is None):
             return False
-        if lang is not None and mv is not None and lang.act(mv) != mt:
-            return False
+        if lang is not None and mv is not None:
+            if v not in moved:
+                moved[v] = lang.act(mv)
+            if moved[v] != mt:
+                return False
         mate_v, mate_t = mate(v), mate(t)
         if (mate_v is None) != (mate_t is None):
             return False
