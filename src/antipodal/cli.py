@@ -129,7 +129,9 @@ def _cmd_complete(args, report: Report) -> int:
                 report.add("witness.vertices", ",".join(map(str, exc.cycle.vertices)))
             return NO_RESULT
         report.add("outcome", "completed")
-        _emit_structure(report, args, completed, parsed.descriptor)
+        # K and the variant only hold for the input's delta; the file may omit them
+        kept = parsed.descriptor is not None and parsed.descriptor.delta == completed.delta
+        _emit_structure(report, args, completed, parsed.descriptor if kept else None)
         return OK
     desc = _descriptor(args, parsed)
     orientation = _orientation(args, desc)

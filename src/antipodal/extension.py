@@ -128,31 +128,54 @@ def _structure_fits(structure: GammaLStructure, lang: LanguagePermutation | None
 
 def compatible_language_parts(structure: GammaLStructure, vmap: PartialMap,
                               lang_partition: tuple[frozenset, frozenset] | None = None
-                              ) -> list[LanguagePermutation]:
-    """All language permutations under which ``vmap`` transports the marks.
+                              ) -> Iterator[LanguagePermutation]:
+    """Every language permutation under which ``vmap`` transports the marks, lazily.
 
     Index rows touched by the domain are forced; the index action is completed
     by every permutation of the untouched indices (partition-preserving ones
     only, when an index bipartition is given), and index pairs with both ends
     untouched are free flip choices.
+
+    Parts come in canonical order, ascending in ``(psi.images,
+    flips.sorted_pairs())``, and none is built before the caller asks for it;
+    an audit that stops at its first failure pays only for the parts it
+    checked.  The order needs no sort:
+
+    - ``itertools.permutations`` of the ascending pool of free targets yields
+      the free positions of ``psi`` in lexicographic order, and every other
+      position is the same for all of them, so ``psi.images`` ascend.
+    - Within one ``psi``, :func:`_flip_sets` walks the trie of sorted pair
+      lists in preorder, children in ascending order.  Preorder puts a list
+      before its extensions and otherwise orders two lists by their first
+      differing pair, which is the lexicographic order ``sorted()`` gives
+      those keys.  A trie node is a prefix of some flip set (append the pairs
+      it still owes), and every flip set is reached along its own pairs, so
+      each is yielded exactly once.
+
+    :class:`SizeLimitError` is raised when more than :data:`FREE_FLIP_BOUND`
+    free pairs would be enumerated.  The free indices are the untouched ones,
+    the same for every ``psi``, so it fires at the first ``psi`` that passes
+    the row checks, before any part is yielded; since the parts are produced
+    lazily, that is on the first ``next()``, not at the call.
     """
     m = structure.mark_size or 0
     if m == 0:
-        return [LanguagePermutation.identity(0)]
+        yield LanguagePermutation.identity(0)
+        return
     index_map: dict[int, int] = {}
     for s, t in vmap.pairs:
         ms, mt = structure.mark(s), structure.mark(t)
         if (ms is None) != (mt is None):
-            return []
+            return
         if ms is None:
             continue
         if index_map.setdefault(ms[0], mt[0]) != mt[0]:
-            return []
+            return
     if len(set(index_map.values())) != len(index_map):
-        return []
+        return
     sources = [i for i in range(1, m + 1) if i not in index_map]
     target_pool = [i for i in range(1, m + 1) if i not in set(index_map.values())]
-    out: list[LanguagePermutation] = []
+    free_pairs = len(sources) * (len(sources) + 1) // 2
     for perm in itertools.permutations(target_pool):
         mapping = dict(index_map)
         mapping.update(zip(sources, perm))
@@ -178,27 +201,59 @@ def compatible_language_parts(structure: GammaLStructure, vmap: PartialMap,
                         good = False
         if not good:
             continue
-        forced = set()
-        for i, row in rows.items():
-            for j in row:
-                forced.add((i, j))
-                forced.add((j, i))
-        free_indices = [j for j in range(1, m + 1) if j not in rows]
-        free_pairs = [(a, b) for ai, a in enumerate(free_indices)
-                      for b in free_indices[ai:]]
-        if len(free_pairs) > FREE_FLIP_BOUND:
+        if free_pairs > FREE_FLIP_BOUND:
             raise SizeLimitError(
-                f"too many free flip pairs ({len(free_pairs)}) to enumerate",
+                f"too many free flip pairs ({free_pairs}) to enumerate",
                 FREE_FLIP_BOUND)
-        for picks in itertools.product((False, True), repeat=len(free_pairs)):
-            chosen = set(forced)
-            for pick, (a, b) in zip(picks, free_pairs):
-                if pick:
-                    chosen.add((a, b))
-                    chosen.add((b, a))
-            out.append(LanguagePermutation(psi, FlipSet(frozenset(chosen))))
-    out.sort(key=lambda g: (g.psi.images, g.flips.sorted_pairs()))
-    return out
+        for flips in _flip_sets(m, rows):
+            yield LanguagePermutation(psi, flips)
+
+
+def _flip_sets(m: int, rows: dict[int, frozenset]) -> Iterator[FlipSet]:
+    """Flip sets holding the forced ``rows``, ascending in their sorted pairs.
+
+    The universe is every ordered pair that a flip set may hold, in ascending
+    order: a forced pair (an end in ``rows`` whose row holds the other end)
+    or a pair of free indices (neither end in ``rows``).  A flip set is a
+    subset of it that holds every forced pair and is symmetric.  The walk is
+    the preorder of the trie of their sorted pair lists.  A node owes every
+    forced pair after its last pair and the mirror ``(b, a)`` of every free
+    ``(a, b)``, ``a < b``, it holds; it is a flip set when it owes nothing.
+    Its children append a free ``(a, b)`` with ``a <= b`` before the first
+    owed pair, or that owed pair itself, and no pair after it: a skipped
+    owed pair could never be added again.
+    """
+    universe, forced = [], []
+    position = {}
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            if i in rows and j in rows[i] or j in rows and i in rows[j]:
+                forced.append(True)
+            elif i not in rows and j not in rows:
+                forced.append(False)
+            else:
+                continue
+            position[i, j] = len(universe)
+            universe.append((i, j))
+    end = len(universe)
+    mirror = [position[j, i] for i, j in universe]
+    next_forced = [end] * (end + 1)  # the first forced position at or after q
+    for q in range(end - 1, -1, -1):
+        next_forced[q] = q if forced[q] else next_forced[q + 1]
+    stack = [(0, (), frozenset())]  # (next position, pairs held, owed mirrors)
+    while stack:
+        start, held, owed_mirrors = stack.pop()
+        owed = min(next_forced[start], min(owed_mirrors, default=end))
+        if owed == end:
+            yield FlipSet(frozenset(held))
+        children = []
+        for q in range(start, min(owed + 1, end)):
+            if q == owed:
+                children.append((q + 1, held + (universe[q],), owed_mirrors - {q}))
+            elif not forced[q] and mirror[q] >= q:
+                more = {mirror[q]} if mirror[q] > q else set()
+                children.append((q + 1, held + (universe[q],), owed_mirrors | more))
+        stack.extend(reversed(children))
 
 
 def gamma_automorphisms(structure: GammaLStructure, *, max_vertices: int = 12,

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from antipodal import (Automorphism, ClassDescriptor, EdgeLabelledGraph,
+                       FlipSet, IndexPermutation, LanguagePermutation,
                        PartialMap, is_forbidden_triangle)
 
 
@@ -91,6 +92,34 @@ def brute_gamma_vertex_maps(structure) -> set[PartialMap]:
             continue
         out.add(pm)
     return out
+
+
+def brute_language_parts(structure, vmap: PartialMap, lang_partition=None
+                         ) -> list[LanguagePermutation]:
+    """Oracle: filter all language permutations by their action on the marks.
+
+    Every index permutation is paired with every symmetric flip set; a pair
+    is kept when it carries the mark of each ``s`` onto the mark of
+    ``vmap[s]`` (and respects ``lang_partition`` when one is given).  The
+    result is sorted by ``(psi.images, flips.sorted_pairs())``.
+    """
+    m = structure.mark_size or 0
+    mark = structure.mark
+    if any((mark(s) is None) != (mark(t) is None) for s, t in vmap.pairs):
+        return []
+    marked = [(mark(s), mark(t)) for s, t in vmap.pairs if mark(s) is not None]
+    unordered = [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
+    out = []
+    for images in itertools.permutations(range(1, m + 1)):
+        psi = IndexPermutation(images)
+        if lang_partition is not None and psi.partition_action(*lang_partition) is None:
+            continue
+        for k in range(len(unordered) + 1):
+            for chosen in itertools.combinations(unordered, k):
+                g = LanguagePermutation(psi, FlipSet.symmetric(chosen))
+                if all(g.act(ms) == mt for ms, mt in marked):
+                    out.append(g)
+    return sorted(out, key=lambda g: (g.psi.images, g.flips.sorted_pairs()))
 
 
 def all_complete_graphs(vertices, delta):

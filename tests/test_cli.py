@@ -165,6 +165,31 @@ class TestCommands:
         got = read_structure_file(out)
         assert got.graph.dist("u", "w") == 4
 
+    @pytest.mark.parametrize("header,labels,grown,delta", [
+        ("delta 3\nK 1\n", (3, 3), True, 6),
+        ("delta 4\nK 4\n", (3, 2), True, 5),
+        ("delta 5\nK 2\n", (2, 2), False, 5),
+    ])
+    def test_complete_shortest_path_output_reads_back(self, tmp_path, header,
+                                                      labels, grown, delta):
+        source = tmp_path / "path.elg"
+        source.write_text(
+            f"elg 1\n{header}vertex u\nvertex v\nvertex w\n"
+            f"edge u v {labels[0]}\nedge v w {labels[1]}\n", encoding="utf-8")
+        out = tmp_path / "completed.elg"
+        code, _ = invoke("complete", "--mode", "shortest-path", str(source),
+                         "--out", str(out))
+        assert code == 0
+        got = read_structure_file(out)
+        assert got.graph.delta == delta
+        assert got.graph.dist("u", "w") == sum(labels)
+        # K and the variant belong to the input's delta: kept with it, else dropped
+        assert (got.descriptor is None) == grown
+        if not grown:
+            assert got.descriptor == read_structure_file(source).descriptor
+            code, _ = invoke("validate", str(out))
+            assert code in (0, 1)
+
     def test_complete_antipodal(self, tmp_path):
         out = tmp_path / "completed.elg"
         code, text = invoke("complete", "--mode", "antipodal",

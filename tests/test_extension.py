@@ -1,11 +1,12 @@
 import itertools
+from random import Random
 
 import pytest
 
 from antipodal import (ClassDescriptor, FlipSet, GammaLStructure,
                        GammaPartialAutomorphism, IndexPermutation, InputError,
                        LanguagePermutation, OrientationSet, PartialMap,
-                       ValuationFunction, Variant, automorphisms,
+                       SizeLimitError, ValuationFunction, Variant, automorphisms,
                        build_suitable_expansion, compatible_language_parts,
                        delta_matching, expand_witness,
                        extend_partial_automorphism, f_from_marks,
@@ -13,8 +14,10 @@ from antipodal import (ClassDescriptor, FlipSet, GammaLStructure,
                        is_member, pad_bipartition, partial_automorphisms,
                        pipeline, search_witness, verify_eppa_witness,
                        verify_irreducible_faithful, witness_candidates)
+from antipodal.generation import random_member
 
-from conftest import brute_gamma_vertex_maps, graph, matched_members
+from conftest import (brute_gamma_vertex_maps, brute_language_parts,
+                      brute_partial_automorphisms, graph, matched_members)
 
 
 def vf(bits):
@@ -128,10 +131,70 @@ class TestGammaAutomorphisms:
                 got = list(gamma_partial_automorphisms(expansion))
                 assert len(set(got)) == len(got)
                 oracle = {pm for pm in brute_gamma_vertex_maps(expansion)
-                          if compatible_language_parts(expansion, pm)}
+                          if next(compatible_language_parts(expansion, pm), None)
+                          is not None}
                 assert {gpa.vmap for gpa in got} == oracle
                 checked += 1
         assert checked
+
+
+
+def _matched_expansions(desc, n):
+    """Expansions of ``matched_members`` on ``n`` vertices, padded when bipartite,
+    with the index bipartition of the (4,4)-style classes."""
+    orientation = None
+    if desc.variant is Variant.EVEN_BIPARTITE:
+        orientation = OrientationSet.default(desc.delta)
+    for g in matched_members([f"v{i}" for i in range(n)], desc):
+        if orientation is not None:
+            g = pad_bipartition(g, desc)
+        expansion = build_suitable_expansion(g, desc, orientation)
+        partition = None
+        if orientation is not None:
+            matching = delta_matching(g, desc, require_perfect=True)
+            partition = (matching.part_one, matching.part_two)
+        yield expansion, partition
+
+
+class TestCompatibleLanguageParts:
+    @pytest.mark.parametrize("delta,K,n", [
+        (3, 1, 2), (3, 1, 4), (3, 1, 6), (5, 2, 4), (5, 2, 6), (4, 4, 2), (4, 4, 4)])
+    def test_matches_brute_force_in_order(self, delta, K, n):
+        desc = ClassDescriptor(delta, K)
+        checked = 0
+        members = itertools.islice(_matched_expansions(desc, n), 0, None, 5 if n == 6 else 1)
+        for expansion, partition in itertools.islice(members, 4):
+            if expansion.mark_size > 3:
+                continue
+            mate = expansion.mate
+            for pm in brute_partial_automorphisms(expansion.base):
+                if any(mate(v) not in pm.domain for v in pm.domain):
+                    continue
+                for lp in {None, partition}:
+                    assert list(compatible_language_parts(expansion, pm, lp)) == \
+                        brute_language_parts(expansion, pm, lp)
+                    checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("delta,K", [(3, 1), (5, 2), (4, 4)])
+    def test_empty_map_at_four_pairs(self, delta, K):
+        desc = ClassDescriptor(delta, K)
+        expansion, partition = next((e, p) for e, p in _matched_expansions(desc, 8)
+                                    if e.mark_size == 4)
+        for lp in {None, partition}:
+            got = list(compatible_language_parts(expansion, PartialMap.of({}), lp))
+            assert got == brute_language_parts(expansion, PartialMap.of({}), lp)
+
+    def test_free_flip_bound_fires_before_any_part(self):
+        desc = ClassDescriptor(3, 1)
+        g = random_member(desc, 12, Random(0))
+        expansion = build_suitable_expansion(g, desc)
+        assert expansion.mark_size == 6  # 21 free pairs on the empty map
+        parts = compatible_language_parts(expansion, PartialMap.of({}))
+        with pytest.raises(SizeLimitError):
+            next(parts)
+        with pytest.raises(SizeLimitError):
+            pipeline(g, desc, "search", max_vertices=12)
 
 
 class TestVerifyWitness:
