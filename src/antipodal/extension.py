@@ -4,9 +4,12 @@ A witness for a structure is a superstructure in which every partial
 automorphism of the structure extends to a full automorphism.  Verification
 here is exhaustive and desk-scale: it enumerates every partial automorphism
 and hunts for the lexicographically least extension, so reports are
-reproducible.  For marked structures a partial automorphism carries a whole
-language permutation next to the partial vertex map, and an extension must
-keep that language part exactly.  Every vertex map here, partial or total,
+reproducible.  Enumeration is lazy: vertex maps and the language parts of
+each map are produced one at a time in canonical order, so an audit that
+stops at a counterexample builds only what it checked.  For marked
+structures a partial automorphism carries a whole language permutation next
+to the partial vertex map, and an extension must keep that language part
+exactly.  Every vertex map here, partial or total,
 enumerated or least, comes from the one backtracker
 :func:`~antipodal.structures.vertex_maps`; marked structures add one
 predicate, :func:`_structure_fits`, for marks and mates.

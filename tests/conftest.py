@@ -109,16 +109,17 @@ def brute_language_parts(structure, vmap: PartialMap, lang_partition=None
         return []
     marked = [(mark(s), mark(t)) for s, t in vmap.pairs if mark(s) is not None]
     unordered = [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
+    flip_sets = [FlipSet.symmetric(chosen) for k in range(len(unordered) + 1)
+                 for chosen in itertools.combinations(unordered, k)]
     out = []
     for images in itertools.permutations(range(1, m + 1)):
         psi = IndexPermutation(images)
         if lang_partition is not None and psi.partition_action(*lang_partition) is None:
             continue
-        for k in range(len(unordered) + 1):
-            for chosen in itertools.combinations(unordered, k):
-                g = LanguagePermutation(psi, FlipSet.symmetric(chosen))
-                if all(g.act(ms) == mt for ms, mt in marked):
-                    out.append(g)
+        for flips in flip_sets:
+            g = LanguagePermutation(psi, flips)
+            if all(g.act(ms) == mt for ms, mt in marked):
+                out.append(g)
     return sorted(out, key=lambda g: (g.psi.images, g.flips.sorted_pairs()))
 
 

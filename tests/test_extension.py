@@ -138,10 +138,12 @@ class TestGammaAutomorphisms:
         assert checked
 
 
-
 def _matched_expansions(desc, n):
-    """Expansions of ``matched_members`` on ``n`` vertices, padded when bipartite,
-    with the index bipartition of the (4,4)-style classes."""
+    """``(expansion, bipartition)`` for each ``matched_members`` graph on ``n`` vertices.
+
+    Even-bipartite members are padded first and come with the index
+    bipartition of their matching; every other class comes with ``None``.
+    """
     orientation = None
     if desc.variant is Variant.EVEN_BIPARTITE:
         orientation = OrientationSet.default(desc.delta)
