@@ -15,7 +15,7 @@ from .completion import (BoundSearch, CycleSpec, FViolation, OrientationSet,
                          find_non_metric_cycle, forbidden_cycle_oracle,
                          local_finiteness_bound, shortest_path_completion)
 from .errors import (AntipodalError, CompletionError, CompletionNotEquivariant,
-                     FormatError, InputError, NonMetricCycleError,
+                     FormatError, InputError, InternalError, NonMetricCycleError,
                      PreconditionError, SizeLimitError)
 from .extension import (GammaPartialAutomorphism, PipelineResult, WitnessReport,
                         compatible_language_parts, expand_witness,

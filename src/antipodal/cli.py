@@ -4,9 +4,12 @@ Every run prints a machine-readable report to standard output, one
 ``key<TAB>value`` pair per line in a stable order.  Exit codes: 0 for
 success or a verified-true answer, 1 for a verified-false answer (non-member,
 failing witness), 2 for input or format problems, 3 when no completion or no
-witness exists within the searched bounds.  Reports are byte-identical across
-runs for identical inputs and seed; timing is only reported when ``--timing``
-is requested, because it would break that guarantee.
+witness exists within the searched bounds, and 4 when an internal audit fails
+(``outcome internal-error``: a fault in this package, not in the input; the
+report carries the audit's message and no traceback is printed).  Reports are
+byte-identical across runs for identical inputs and seed; timing is only
+reported when ``--timing`` is requested, because it would break that
+guarantee.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import time
 from .completion import (OrientationSet, antipodal_complete,
                          shortest_path_completion)
 from .errors import (AntipodalError, CompletionError, FormatError, InputError,
-                     NonMetricCycleError)
+                     InternalError, NonMetricCycleError)
 from .extension import (extend_partial_automorphism, pipeline, search_witness,
                         verify_eppa_witness)
 from .fileformat import (StructureFile, read_structure_file,
@@ -31,7 +34,7 @@ from .membership import (ClassDescriptor, Variant, antipodal_closure,
 from .structures import EdgeLabelledGraph, PartialMap
 from .valuations import GammaLStructure, build_suitable_expansion, pad_bipartition
 
-OK, VERIFIED_FALSE, INPUT_ERROR, NO_RESULT = 0, 1, 2, 3
+OK, VERIFIED_FALSE, INPUT_ERROR, NO_RESULT, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
 
 class Report:
@@ -396,6 +399,10 @@ def run(argv, stdout=None) -> int:
         report.add("outcome", "no-completion")
         report.add("error", str(exc))
         code = NO_RESULT
+    except InternalError as exc:
+        report.add("outcome", "internal-error")
+        report.add("error", str(exc))
+        code = INTERNAL_ERROR
     except AntipodalError as exc:
         report.add("outcome", "error")
         report.add("error", str(exc))

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (CompletionError, CompletionNotEquivariant, InputError,
-                     NonMetricCycleError, PreconditionError, SizeLimitError)
+                     InternalError, NonMetricCycleError, PreconditionError,
+                     SizeLimitError)
 from .membership import (ClassDescriptor, DeltaMatching, GeneralClassDescriptor,
-                         Variant, delta_matching, find_forbidden_triple,
-                         is_forbidden_triangle, is_member)
+                         Variant, _suspect_pairs, delta_matching, is_member)
 from .structures import EdgeLabelledGraph, Vertex, automorphisms, is_completion_of
 
 
@@ -270,12 +270,21 @@ def solve_labels(verts, fixed: dict, domains: dict, gdesc) -> Iterator[dict]:
     """Every labelling of the open pairs that closes no forbidden triangle.
 
     ``fixed`` maps pairs of ``verts`` to their labels; ``domains`` maps each
-    open pair to its ordered candidate values.  Yields nothing when the fixed
-    labels already close a forbidden triangle.  Otherwise open pairs are
-    decided in ``domains`` order, values in candidate order, and a value is
-    rejected as soon as it closes a forbidden triangle with two labels already
-    present; every leaf is yielded as a dict holding the fixed and the chosen
-    labels.  The first leaf is the least labelling in that order.
+    open pair to its ordered candidate values.  Every fixed label and
+    candidate value must lie in ``1..gdesc.diameter``; one outside raises
+    :class:`InputError` with the predicate's message before the search.
+    Yields nothing when the fixed labels already close a forbidden triangle.
+    Otherwise open pairs are decided in ``domains`` order, values in
+    candidate order, and a value is rejected as soon as it closes a forbidden
+    triangle with two labels already present; every leaf is yielded as a
+    dict holding the fixed and the chosen labels.  The first leaf is the
+    least labelling in that order.
+
+    A triangle is looked up in the per-descriptor table of suspect label
+    pairs that :func:`~antipodal.membership.find_forbidden_triple` scans.
+    With every label in range a suspect pair is a forbidden one, so each
+    lookup answers as :func:`is_forbidden_triangle` would, and the leaves and
+    their order are the same as with the predicate.
 
     Before the search each domain drops the values that close a forbidden
     triangle with two fixed labels, and nothing is yielded if a domain
@@ -284,11 +293,17 @@ def solve_labels(verts, fixed: dict, domains: dict, gdesc) -> Iterator[dict]:
     only after every pair before it is chosen, and the search then tries
     every combination of those choices.
     """
+    diameter = gdesc.diameter
+    for label in itertools.chain(fixed.values(), *domains.values()):
+        if not isinstance(label, int) or not 1 <= label <= diameter:
+            raise InputError(f"label {label!r} outside 1..{diameter}")
+    suspect = _suspect_pairs(gdesc)
     known: dict = {}
     for (u, v), label in fixed.items():
         known[u, v] = known[v, u] = label
 
     def closes_forbidden(u, v, a) -> bool:
+        pairs = suspect[a]
         for w in verts:
             if w == u or w == v:
                 continue
@@ -296,7 +311,7 @@ def solve_labels(verts, fixed: dict, domains: dict, gdesc) -> Iterator[dict]:
             if x is None:
                 continue
             y = known.get((v, w))
-            if y is not None and is_forbidden_triangle(a, x, y, gdesc):
+            if y is not None and (x, y) in pairs:
                 return True
         return False
 
@@ -631,10 +646,10 @@ def antipodal_complete(graph: EdgeLabelledGraph, f: ParityFunction,
     completed = EdgeLabelledGraph(graph.vertices, delta, edges)
     if not (completed.is_complete() and is_completion_of(completed, graph)
             and is_member(completed, desc)):
-        raise AssertionError("internal: folded solution pulled back inconsistently")
+        raise InternalError("internal: folded solution pulled back inconsistently")
     for u, v, label in completed.edges():
         if not _label_side_ok(label, f.value(u, v), desc, orientation):
-            raise AssertionError("internal: completion broke the parity function")
+            raise InternalError("internal: completion broke the parity function")
     for g in automorphisms(graph, max_vertices=verify_limit):
         preserves = all(f.value(u, v) == f.value(g[u], g[v]) for u, v in graph.pairs())
         if not preserves:

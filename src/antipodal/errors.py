@@ -30,6 +30,10 @@ class PreconditionError(InputError):
         self.vertices = tuple(vertices)
 
 
+class InternalError(AntipodalError):
+    """An internal audit failed: a fault in this package, not in its input."""
+
+
 class CompletionError(AntipodalError):
     """No completion exists within the searched space."""
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .completion import OrientationSet, _orientation_args, solve_labels
-from .errors import InputError, SizeLimitError
+from .errors import InputError, InternalError, SizeLimitError
 from .membership import (ClassDescriptor, Variant, antipodal_closure,
                          delta_matching, is_member, parity_parts)
 from .structures import (Automorphism, EdgeLabelledGraph, PartialMap,
@@ -334,7 +334,7 @@ def extend_partial_automorphism(expansion: GammaLStructure, phi,
             raise InputError("the map tears a mated pair apart")
     closed_map = PartialMap.of(closed)
     if not closed_map.preserves_labels(graph):
-        raise RuntimeError("internal: mate closure broke label preservation")
+        raise InternalError("internal: mate closure broke label preservation")
 
     m = matching.m
     index_map: dict[int, int] = {}
@@ -342,7 +342,7 @@ def extend_partial_automorphism(expansion: GammaLStructure, phi,
         if x in closed:
             index_map[i] = matching.index_of(closed[x])
     if len(set(index_map.values())) != len(index_map):
-        raise RuntimeError("internal: index action of an injective map collided")
+        raise InternalError("internal: index action of an injective map collided")
     if desc.variant is Variant.EVEN_BIPARTITE:
         d_one, d_two = matching.part_one, matching.part_two
         swap = None
@@ -351,7 +351,7 @@ def extend_partial_automorphism(expansion: GammaLStructure, phi,
             if swap is None:
                 swap = crosses
             elif swap != crosses:
-                raise RuntimeError("internal: inconsistent part action")
+                raise InternalError("internal: inconsistent part action")
         swap = bool(swap)
         mapping = dict(index_map)
         for src_part, tgt_part in ((d_one, d_two if swap else d_one),
@@ -383,13 +383,13 @@ def extend_partial_automorphism(expansion: GammaLStructure, phi,
 
     for v, fv in closed.items():
         if expansion.mark_index(fv) != psi(expansion.mark_index(v)):
-            raise RuntimeError("internal: index transport failed the audit")
+            raise InternalError("internal: index transport failed the audit")
         expected = flip_permute(expansion.valuation(v),
                                 flips.row(expansion.mark_index(v)), psi)
         if expansion.valuation(fv) != expected:
-            raise RuntimeError("internal: valuation transport failed the audit")
+            raise InternalError("internal: valuation transport failed the audit")
         if closed.get(matching.mate(v)) != matching.mate(fv):
-            raise RuntimeError("internal: mate transport failed the audit")
+            raise InternalError("internal: mate transport failed the audit")
     return GammaPartialAutomorphism(lang, closed_map)
 
 

@@ -13,11 +13,12 @@ two pictures.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .structures import EdgeLabelledGraph, Vertex
 
 
@@ -149,24 +150,65 @@ def is_forbidden_triangle(a: int, b: int, c: int, desc: Descriptor) -> bool:
     return p >= desc.C0
 
 
+@functools.lru_cache(maxsize=64)
+def _suspect_pairs(desc: Descriptor) -> tuple[frozenset, ...]:
+    """Per first label ``a``, the ``(b, c)`` that make ``(a, b, c)`` suspect.
+
+    A triple is suspect when :func:`is_forbidden_triangle` would return True
+    or raise because a label lies outside ``1..diameter``.  Labels above the
+    diameter all stand as ``diameter + 1``, so the table is finite: entry
+    ``a`` for ``a`` in ``1..diameter + 1`` holds pairs over
+    ``1..diameter + 1``, and every pair when ``a`` itself is out of range.
+    Entry 0 is empty; no labelled pair carries 0.  Callers clamp larger
+    labels to ``diameter + 1`` or reject them first.  Built once per
+    descriptor from the predicate itself.
+    """
+    out = desc.diameter + 1
+    labels = range(1, out + 1)
+    return (frozenset(),) + tuple(
+        frozenset((b, c) for b in labels for c in labels
+                  if out in (a, b, c) or is_forbidden_triangle(a, b, c, desc))
+        for a in labels)
+
+
 def find_forbidden_triple(graph: EdgeLabelledGraph, desc: Descriptor):
     """First vertex triple carrying a forbidden triangle, or ``None``.
 
     Requires a complete graph; the canonical vertex order makes the answer
-    deterministic.
+    deterministic.  Labels outside ``1..diameter`` raise :class:`InputError`
+    at the first triple, in canonical order, that carries one, unless a
+    forbidden triple comes earlier.
+
+    For each pair ``i < j`` the rows of the label matrix are scanned at once
+    for a ``k > j`` whose pair ``(d(i, k), d(j, k))`` is suspect for
+    ``a = d(i, j)`` in the per-descriptor table: forbidden or out of range.
+    Only then is ``k`` walked, and :func:`is_forbidden_triangle` decides each
+    triple there, returning the triple or raising.  A triple that is not
+    suspect is one the predicate accepts, so the scan meets the same first
+    triple, and the same first error, as calling the predicate on every
+    triple in canonical order.
     """
     if not graph.is_complete():
         raise InputError(
             "membership needs a complete graph; fill the missing labels with the "
             "completion operations first")
+    suspect = _suspect_pairs(desc)
+    out = desc.diameter + 1
+    rows = graph._rows
+    scan = rows
+    if graph.delta >= out:  # the table reads every label above the diameter as `out`
+        scan = [tuple(min(x, out) for x in row) for row in rows]
     vs = graph.vertices
     n = len(vs)
     for i in range(n):
-        for j in range(i + 1, n):
-            dij = graph.dist(vs[i], vs[j])
+        row_i = scan[i]
+        for j in range(i + 1, n - 1):
+            row_j = scan[j]
+            if suspect[row_i[j]].isdisjoint(zip(row_i[j + 1:], row_j[j + 1:])):
+                continue
+            dij = rows[i][j]
             for k in range(j + 1, n):
-                if is_forbidden_triangle(dij, graph.dist(vs[i], vs[k]),
-                                         graph.dist(vs[j], vs[k]), desc):
+                if is_forbidden_triangle(dij, rows[i][k], rows[j][k], desc):
                     return vs[i], vs[j], vs[k]
     return None
 
@@ -316,7 +358,7 @@ def antipodal_closure(graph: EdgeLabelledGraph, desc: ClassDescriptor
             edges.append((mates[u], mates[v], graph.dist(u, v)))
     closed = EdgeLabelledGraph(new_vertices, delta, edges)
     if not is_member(closed, desc):
-        raise AssertionError("internal: antipodal closure left the class")
+        raise InternalError("internal: antipodal closure left the class")
     return closed, delta_matching(closed, desc, require_perfect=True)
 
 
@@ -385,5 +427,5 @@ def unfold(folded: EdgeLabelledGraph, desc: ClassDescriptor) -> EdgeLabelledGrap
         edges.append((copies[u], copies[v], l))
     doubled = EdgeLabelledGraph(vertices, delta, edges)
     if not is_member(doubled, desc):
-        raise AssertionError("internal: unfold left the class")
+        raise InternalError("internal: unfold left the class")
     return doubled

@@ -2,14 +2,17 @@
 
 Everything downstream works on :class:`EdgeLabelledGraph`: an immutable finite
 graph whose edges carry integer labels from ``{1..delta}``.  The label map is
-partial and symmetric; self-labels are never stored.  Vertex insertion order
-doubles as the canonical total order used by every deterministic tie-break in
-the package (fold representatives, matching enumeration, search orders).
+partial and symmetric, and it is stored as one n×n integer matrix indexed by
+vertex position, with 0 for an unlabelled pair and on the diagonal.  Vertex
+insertion order doubles as the canonical total order used by every
+deterministic tie-break in the package (fold representatives, matching
+enumeration, search orders) and is the row and column order of the matrix.
 
 :func:`vertex_maps` is the one enumeration path for vertex maps: plain and
 marked automorphisms, partial automorphisms and least extensions are all
 depth-first walks of it, differing only in a seed, a consistency predicate
-and a mate map.
+and a mate map.  It compares rows of the label matrix by vertex position
+instead of reading labels pair by pair.
 """
 
 from __future__ import annotations
@@ -25,11 +28,17 @@ Vertex = Hashable
 class EdgeLabelledGraph:
     """Finite graph with a partial symmetric labelling of vertex pairs.
 
+    The labels live in one n×n integer matrix, rows and columns in canonical
+    vertex order, built once in the constructor: entry ``[i][j]`` is the
+    label of the i-th and j-th vertices, 0 when the pair is unlabelled and
+    on the diagonal.  The matrix is a tuple of row tuples, so equality and
+    hashing compare it directly.
+
     Instances are value-semantic and immutable: derived graphs are built with
     :meth:`with_edges`, :meth:`with_vertices` or :meth:`induced`.
     """
 
-    __slots__ = ("_vertices", "_index", "_delta", "_labels")
+    __slots__ = ("_vertices", "_index", "_delta", "_rows", "_edge_count")
 
     def __init__(self, vertices: Iterable[Vertex], delta: int,
                  edges: Iterable[tuple[Vertex, Vertex, int]] = ()):
@@ -40,18 +49,22 @@ class EdgeLabelledGraph:
         if not isinstance(delta, int) or delta < 1:
             raise InputError(f"delta must be a positive integer, got {delta!r}")
         self._delta = delta
-        labels: dict[tuple[Vertex, Vertex], int] = {}
+        n = len(self._vertices)
+        rows = [[0] * n for _ in range(n)]
+        count = 0
         for u, v, label in edges:
-            key = self._key(u, v)
+            iu, iv = self._position(u, v)
             if not isinstance(label, int) or not 1 <= label <= delta:
                 raise InputError(
                     f"label {label!r} outside 1..{delta} on pair ({u!r}, {v!r})")
-            if key in labels:
+            if rows[iu][iv]:
                 raise InputError(f"duplicate edge ({u!r}, {v!r})")
-            labels[key] = label
-        self._labels = labels
+            rows[iu][iv] = rows[iv][iu] = label
+            count += 1
+        self._rows = tuple(map(tuple, rows))
+        self._edge_count = count
 
-    def _key(self, u: Vertex, v: Vertex) -> tuple[Vertex, Vertex]:
+    def _position(self, u: Vertex, v: Vertex) -> tuple[int, int]:
         iu = self._index.get(u)
         iv = self._index.get(v)
         if iu is None or iv is None:
@@ -59,7 +72,7 @@ class EdgeLabelledGraph:
             raise InputError(f"unknown vertex {missing!r}")
         if iu == iv:
             raise InputError(f"self-distance requested for {u!r}")
-        return (u, v) if iu < iv else (v, u)
+        return iu, iv
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -83,7 +96,8 @@ class EdgeLabelledGraph:
 
     def dist(self, u: Vertex, v: Vertex):
         """Label on the pair, or ``None`` when the pair is unlabelled."""
-        return self._labels.get(self._key(u, v))
+        iu, iv = self._position(u, v)
+        return self._rows[iu][iv] or None
 
     def pairs(self) -> Iterator[tuple[Vertex, Vertex]]:
         """All unordered vertex pairs, in canonical order."""
@@ -94,20 +108,23 @@ class EdgeLabelledGraph:
 
     def edges(self) -> Iterator[tuple[Vertex, Vertex, int]]:
         """All labelled pairs ``(u, v, label)`` in canonical order."""
-        for u, v in self.pairs():
-            label = self._labels.get((u, v))
-            if label is not None:
-                yield u, v, label
+        vs = self._vertices
+        for i, row in enumerate(self._rows):
+            for j in range(i + 1, len(vs)):
+                if row[j]:
+                    yield vs[i], vs[j], row[j]
 
     def edge_count(self) -> int:
-        return len(self._labels)
+        return self._edge_count
 
     def is_complete(self) -> bool:
         n = len(self._vertices)
-        return len(self._labels) == n * (n - 1) // 2
+        return self._edge_count == n * (n - 1) // 2
 
     def undefined_pairs(self) -> list[tuple[Vertex, Vertex]]:
-        return [(u, v) for u, v in self.pairs() if (u, v) not in self._labels]
+        vs = self._vertices
+        return [(vs[i], vs[j]) for i, row in enumerate(self._rows)
+                for j in range(i + 1, len(vs)) if not row[j]]
 
     def induced(self, keep: Iterable[Vertex]) -> "EdgeLabelledGraph":
         """Substructure on ``keep``, preserving relative vertex order."""
@@ -132,12 +149,10 @@ class EdgeLabelledGraph:
         if not isinstance(other, EdgeLabelledGraph):
             return NotImplemented
         return (self._vertices == other._vertices and self._delta == other._delta
-                and self._labels == other._labels)
+                and self._rows == other._rows)
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._delta,
-                     tuple(sorted(((self.index(u), self.index(v), l)
-                                   for (u, v), l in self._labels.items())))))
+        return hash((self._vertices, self._delta, self._rows))
 
     def __repr__(self) -> str:
         es = ",".join(f"{u}-{v}:{l}" for u, v, l in self.edges())
@@ -241,8 +256,10 @@ def vertex_maps(graph: EdgeLabelledGraph, *, seed=(), partial: bool = False,
     yielded, so ``next(vertex_maps(...), None)`` is the least total extension.
     """
     verts = graph.vertices
-    dist = graph.dist
+    rows = graph._rows
     assigned = dict(seed)
+    # positions (source, image) of the assigned pairs, in assignment order
+    placed = [(graph.index(s), graph.index(t)) for s, t in assigned.items()]
     used = set(assigned.values())
     todo = [v for v in verts if v not in assigned]
     dropped: set = set()
@@ -258,15 +275,20 @@ def vertex_maps(graph: EdgeLabelledGraph, *, seed=(), partial: bool = False,
             dropped.remove(v)
         if mate is not None and mate(v) is not None and mate(v) in dropped:
             return
-        for t in verts:
+        iv = graph.index(v)
+        row_v = rows[iv]
+        for it, t in enumerate(verts):
             if t in used or (fits is not None and not fits(v, t, assigned)):
                 continue
-            if any(dist(v, s) != dist(t, ft) for s, ft in assigned.items()):
+            row_t = rows[it]
+            if any(row_v[s] != row_t[ft] for s, ft in placed):
                 continue
             assigned[v] = t
+            placed.append((iv, it))
             used.add(t)
             yield from rec(k + 1)
             del assigned[v]
+            placed.pop()
             used.remove(t)
 
     return rec(0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .completion import OrientationSet, _label_side_ok, _orientation_args
-from .errors import CompletionError, InputError
+from .errors import CompletionError, InputError, InternalError
 from .membership import (ClassDescriptor, DeltaMatching, Variant, delta_matching,
                          is_member, parity_parts)
 from .structures import EdgeLabelledGraph, Vertex
@@ -445,7 +445,7 @@ def build_suitable_expansion(graph: EdgeLabelledGraph, desc: ClassDescriptor,
     expansion = GammaLStructure(graph, mates, marks)
     problems = suitable_expansion_violations(expansion, graph, desc, orientation)
     if problems:
-        raise AssertionError(f"internal: built expansion is not suitable: {problems[0]}")
+        raise InternalError(f"internal: built expansion is not suitable: {problems[0]}")
     return expansion
 
 

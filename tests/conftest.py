@@ -140,6 +140,24 @@ def brute_is_member(g: EdgeLabelledGraph, desc) -> bool:
     return True
 
 
+def brute_first_forbidden_triple(g: EdgeLabelledGraph, desc):
+    """Oracle: the first forbidden triple by the plain ``i < j < k`` loop.
+
+    Reads every label with ``dist`` and calls the triangle predicate on every
+    triple in canonical order, so it raises wherever the predicate does.
+    """
+    vs = g.vertices
+    n = len(vs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dij = g.dist(vs[i], vs[j])
+            for k in range(j + 1, n):
+                if is_forbidden_triangle(dij, g.dist(vs[i], vs[k]),
+                                         g.dist(vs[j], vs[k]), desc):
+                    return vs[i], vs[j], vs[k]
+    return None
+
+
 def perfect_matchings(items):
     """All pairings of an even-sized sequence."""
     items = list(items)

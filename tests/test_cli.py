@@ -134,6 +134,20 @@ class TestExitCodes:
         assert report["outcome"] == "non-metric-cycle"
         assert sorted(report["witness.labels"].split(",")) == ["1", "1", "5"]
 
+    def test_failed_internal_audit_exits_four(self, monkeypatch, capsys):
+        import antipodal.valuations as valuations
+        monkeypatch.setattr(valuations, "suitable_expansion_violations",
+                            lambda *args, **kwargs: ["planted failure"])
+        code, text = invoke("expand", "--delta", "3", "--K", "1",
+                            fixture("quadruple.elg"))
+        assert code == 4
+        report = report_dict(text)
+        assert report["outcome"] == "internal-error"
+        assert report["error"] == \
+            "internal: built expansion is not suitable: planted failure"
+        assert report["exit"] == "4"
+        assert capsys.readouterr().err == ""
+
     def test_unknown_flag_exits_two(self, capsys):
         code, _ = invoke("validate", "--nonsense", fixture("quadruple.elg"))
         assert code == 2

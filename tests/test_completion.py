@@ -11,7 +11,7 @@ from antipodal import (ClassDescriptor, CompletionError, CycleSpec,
                        is_completion_of, is_member, local_finiteness_bound,
                        shortest_path_completion)
 
-from antipodal.completion import _canonical_cycles
+from antipodal.completion import _canonical_cycles, solve_labels
 
 from conftest import brute_completions, graph, random_connected_partial
 
@@ -109,6 +109,13 @@ class TestForbiddenCycleOracle:
                               [(i, (i + 1) % k, labels[i]) for i in range(k)])
                 assert forbidden_cycle_oracle(CycleSpec(labels), gdesc) == \
                     (not brute_completions(cycle, gdesc, limit=0)), labels
+
+    def test_solver_refuses_labels_out_of_range(self):
+        gdesc = ClassDescriptor(5, 2).folded()
+        with pytest.raises(InputError, match=r"label 5 outside 1\.\.4"):
+            next(solve_labels(range(3), {(0, 1): 5}, {(0, 2): [1]}, gdesc), None)
+        with pytest.raises(InputError, match=r"label 0 outside 1\.\.4"):
+            next(solve_labels(range(3), {(0, 1): 1}, {(0, 2): [2, 0]}, gdesc), None)
 
     def test_length_refusal(self):
         gdesc = ClassDescriptor(3, 1).folded()

@@ -1,13 +1,21 @@
 import itertools
+import random
 
 import pytest
 
-from antipodal import (ClassDescriptor, GeneralClassDescriptor, InputError,
-                       Variant, antipodal_closure, automorphisms, delta_matching,
-                       find_forbidden_triple, fold, is_forbidden_triangle,
-                       is_member, parity_parts, unfold)
+from antipodal import (ClassDescriptor, CompletionError, GeneralClassDescriptor,
+                       InputError, Variant, antipodal_closure, automorphisms,
+                       delta_matching, find_forbidden_triple, fold,
+                       is_forbidden_triangle, is_member, parity_parts, unfold)
+from antipodal.generation import random_member
+from antipodal.membership import _suspect_pairs
 
-from conftest import all_complete_graphs, graph, matched_members
+from conftest import (all_complete_graphs, brute_first_forbidden_triple, graph,
+                      matched_members)
+
+PARAMETERS = ((3, 1), (4, 4), (5, 1), (5, 2), (6, 6), (7, 2), (7, 3))
+DESCRIPTORS = [ClassDescriptor(d, k) for d, k in PARAMETERS] + \
+    [ClassDescriptor(d, k).folded() for d, k in PARAMETERS]
 
 
 class TestDescriptors:
@@ -98,6 +106,85 @@ class TestMembership:
     def test_incomplete_graph_refused(self, desc31):
         with pytest.raises(InputError, match="completion"):
             is_member(graph("uv", 3), desc31)
+
+
+def _outcome(find, g, desc):
+    try:
+        return "triple", find(g, desc)
+    except InputError as exc:
+        return "error", str(exc)
+
+
+def _random_complete(rng, n, top):
+    vs = tuple(f"v{i}" for i in range(n))
+    return graph(vs, top, [(u, v, rng.randint(1, top))
+                           for u, v in itertools.combinations(vs, 2)])
+
+
+def _member(rng, desc, size):
+    for _ in range(5):
+        try:
+            return random_member(desc, size, rng)
+        except CompletionError:
+            continue
+    raise AssertionError(f"no member of size {size} for {desc!r}")
+
+
+def _near_member(rng, desc, n, top):
+    """Part of a member, vertices shuffled, often with one label redrawn in ``1..top``."""
+    if isinstance(desc, ClassDescriptor):
+        member = _member(rng, desc, n + n % 2)
+    else:
+        antipodal = ClassDescriptor(desc.delta + 1, desc.delta + 1 - desc.K2)
+        member = fold(_member(rng, antipodal, 2 * n))
+    keep = rng.sample(member.vertices, n)
+    edges = {frozenset((u, v)): l for u, v, l in member.induced(keep).edges()}
+    if edges and rng.random() < 0.75:
+        edges[rng.choice(sorted(edges, key=sorted))] = rng.randint(1, top)
+    return graph(keep, max(top, member.delta),
+                 [(*sorted(pair), l) for pair, l in edges.items()])
+
+
+class TestForbiddenTripleKernel:
+    """The table scan against the per-triple loop of ``brute_first_forbidden_triple``."""
+
+    @pytest.mark.parametrize("desc", DESCRIPTORS, ids=repr)
+    def test_table_matches_predicate(self, desc):
+        table = _suspect_pairs(desc)
+        d = desc.diameter
+        assert len(table) == d + 2 and not table[0]
+        for a, b, c in itertools.product(range(1, d + 1), repeat=3):
+            assert ((b, c) in table[a]) == is_forbidden_triangle(a, b, c, desc)
+        labels = range(1, d + 2)
+        for b in labels:
+            assert all((b, d + 1) in table[a] and (d + 1, b) in table[a] for a in labels)
+        assert table[d + 1] == frozenset(itertools.product(labels, repeat=2))
+
+    @pytest.mark.parametrize("desc", DESCRIPTORS, ids=repr)
+    def test_same_first_triple_or_error(self, desc):
+        rng = random.Random(f"kernel/{desc!r}")
+        d = desc.diameter
+        seen = set()
+        for n in range(10):
+            for top in (d, d + 1, d + 3):
+                for _ in range(4):
+                    for g in (_random_complete(rng, n, top), _near_member(rng, desc, n, top)):
+                        want = _outcome(brute_first_forbidden_triple, g, desc)
+                        assert _outcome(find_forbidden_triple, g, desc) == want, g
+                        if n >= 3:
+                            seen.add("error" if want[0] == "error" else
+                                     "member" if want[1] is None else "triple")
+        # the folded (3, 1) family forbids no triangle in range
+        forbids = any(is_forbidden_triangle(*t, desc)
+                      for t in itertools.product(range(1, d + 1), repeat=3))
+        assert seen == {"member", "error"} | ({"triple"} if forbids else set())
+
+    def test_labels_above_the_diameter_need_a_triple(self):
+        desc = ClassDescriptor(3, 1).folded()
+        assert find_forbidden_triple(graph("uv", 3, [("u", "v", 3)]), desc) is None
+        g = graph("uvw", 3, [("u", "v", 1), ("u", "w", 1), ("v", "w", 3)])
+        with pytest.raises(InputError, match=r"label 3 outside 1\.\.2"):
+            find_forbidden_triple(g, desc)
 
 
 class TestDeltaMatching:

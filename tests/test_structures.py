@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,25 +18,70 @@ def as_sets(maps):
 
 class TestGraphBasics:
     def test_symmetry_and_range(self):
-        g = graph("ab", 3, [("a", "b", 2)])
+        g = graph("abc", 3, [("a", "b", 2)])
         assert g.dist("a", "b") == g.dist("b", "a") == 2
+        assert g.dist("a", "c") is None
+        with pytest.raises(InputError, match="unknown vertex 'z'"):
+            g.dist("a", "z")
+        with pytest.raises(InputError, match="self-distance"):
+            g.dist("a", "a")
 
     def test_rejects_bad_labels(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"label 4 outside 1\.\.3"):
             graph("ab", 3, [("a", "b", 4)])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"label 0 outside 1\.\.3"):
             graph("ab", 3, [("a", "b", 0)])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"label 1\.0 outside 1\.\.3"):
+            graph("ab", 3, [("a", "b", 1.0)])
+        with pytest.raises(InputError, match="self-distance"):
             graph("ab", 3, [("a", "a", 1)])
+        with pytest.raises(InputError, match="unknown vertex 'z'"):
+            graph("ab", 3, [("a", "z", 1)])
 
     def test_rejects_duplicate_pairs(self):
-        with pytest.raises(InputError):
-            graph("ab", 3, [("a", "b", 1), ("b", "a", 2)])
+        for edges in ([("a", "b", 1), ("b", "a", 2)], [("a", "b", 1), ("a", "b", 1)]):
+            with pytest.raises(InputError, match="duplicate edge"):
+                graph("ab", 3, edges)
+        with pytest.raises(InputError, match="duplicate edge"):
+            graph("ab", 3, [("a", "b", 1)]).with_edges([("b", "a", 3)])
 
     def test_value_equality(self):
         g1 = graph("ab", 3, [("a", "b", 2)])
         g2 = graph("ab", 3, [("b", "a", 2)])
         assert g1 == g2 and hash(g1) == hash(g2)
+
+    def test_value_semantics_of_the_label_matrix(self):
+        rng = random.Random("matrix")
+        vs = tuple("abcdef")
+        labelled = {pair: rng.randint(1, 4) for pair in itertools.combinations(vs, 2)
+                    if rng.random() < 0.6}
+        canonical = [(u, v, l) for (u, v), l in labelled.items()]
+        holes = [pair for pair in itertools.combinations(vs, 2) if pair not in labelled]
+        base = graph(vs, 4, canonical)
+        for _ in range(10):
+            shuffled = [(v, u, l) if rng.random() < 0.5 else (u, v, l)
+                        for u, v, l in rng.sample(canonical, len(canonical))]
+            g = graph(vs, 4, shuffled)
+            assert g == base and hash(g) == hash(base)
+            assert list(g.edges()) == canonical
+            assert g.undefined_pairs() == holes
+            assert g.edge_count() == len(canonical) and not g.is_complete()
+        assert base != graph(vs, 5, canonical) and base != graph(vs[::-1], 4, canonical)
+        for u, v in holes:
+            assert base.dist(u, v) is None and base.dist(v, u) is None
+        keep = {"b", "d", "e", "f"}
+        sub = base.induced(keep)
+        assert sub.vertices == ("b", "d", "e", "f")
+        assert list(sub.edges()) == [e for e in canonical if {e[0], e[1]} <= keep]
+        grown = base.with_edges([(v, u, 1) for u, v in holes])
+        assert grown.is_complete()
+        assert list(grown.edges()) == sorted(canonical + [(u, v, 1) for u, v in holes],
+                                             key=lambda e: (vs.index(e[0]), vs.index(e[1])))
+        wider = base.with_vertices(["g"])
+        assert wider.vertices == vs + ("g",)
+        assert list(wider.edges()) == canonical
+        assert wider.undefined_pairs() == [pair for pair in itertools.combinations(
+            vs + ("g",), 2) if pair not in labelled]
 
     def test_induced_keeps_order(self, quadruple):
         sub = quadruple.induced({"x", "u"})
