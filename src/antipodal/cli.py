@@ -30,8 +30,8 @@ from .fileformat import (StructureFile, read_structure_file,
                          write_structure_file, write_structure_text)
 from .generation import random_member
 from .membership import (ClassDescriptor, Variant, antipodal_closure,
-                         delta_matching, find_forbidden_triple, fold, unfold)
-from .structures import EdgeLabelledGraph, PartialMap
+                         find_forbidden_triple, fold, unfold)
+from .structures import PartialMap
 from .valuations import GammaLStructure, build_suitable_expansion, pad_bipartition
 
 OK, VERIFIED_FALSE, INPUT_ERROR, NO_RESULT, INTERNAL_ERROR = 0, 1, 2, 3, 4

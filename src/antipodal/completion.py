@@ -10,6 +10,11 @@ antipodal graph whose long edges form a perfect matching, steering the parity
 of every new distance with a two-valued pair function and auditing afterwards
 that the completion is a member, matches the parities, and keeps every
 parity-preserving symmetry of the input.
+
+Every label and mark assignment in the package comes from the one
+backtracking loop :func:`_backtrack`: labels through :func:`solve_labels`,
+which the cycle oracle, the completion and the witness candidates call, and
+the marks of a witness through :func:`~antipodal.extension.expand_witness`.
 """
 
 from __future__ import annotations
@@ -18,13 +23,13 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import (CompletionError, CompletionNotEquivariant, InputError,
                      InternalError, NonMetricCycleError, PreconditionError,
                      SizeLimitError)
-from .membership import (ClassDescriptor, DeltaMatching, GeneralClassDescriptor,
-                         Variant, _suspect_pairs, delta_matching, is_member)
+from .membership import (ClassDescriptor, GeneralClassDescriptor, Variant,
+                         _suspect_pairs, delta_matching, is_member)
 from .structures import EdgeLabelledGraph, Vertex, automorphisms, is_completion_of
 
 
@@ -266,6 +271,44 @@ def shortest_path_completion(graph: EdgeLabelledGraph) -> EdgeLabelledGraph:
     return EdgeLabelledGraph(verts, top, edges)
 
 
+def _backtrack(domains: dict, rejects, record) -> Iterator[tuple]:
+    """Every choice of one value per variable that ``rejects`` lets through.
+
+    This is the one backtracking loop behind every label and mark
+    assignment in the package: :func:`solve_labels` and
+    :func:`~antipodal.extension.expand_witness` run on it.  ``domains`` maps
+    each variable, in the order they are decided, to its list of values,
+    tried in list order.  ``rejects(var, value)`` says whether ``value``
+    clashes with the values chosen for the variables before ``var``;
+    ``record(var, value)`` tells the caller a value was chosen, and
+    ``record(var, None)`` that ``var`` is undecided again.  Leaves are
+    yielded as tuples of the chosen values, in lexicographic order of their
+    places in the lists, so the first leaf is the least.  The loop is
+    iterative, so the number of variables is not bounded by the recursion
+    limit.
+    """
+    variables, lists = list(domains), list(domains.values())
+    tried = [0] * len(lists)
+    pos = 0
+    while pos >= 0:
+        if pos == len(lists):
+            yield tuple(values[k - 1] for values, k in zip(lists, tried))
+            pos -= 1
+            continue
+        var, values = variables[pos], lists[pos]
+        k = tried[pos]
+        while k < len(values) and rejects(var, values[k]):
+            k += 1
+        if k == len(values):
+            tried[pos] = 0
+            record(var, None)
+            pos -= 1
+            continue
+        record(var, values[k])
+        tried[pos] = k + 1
+        pos += 1
+
+
 def solve_labels(verts, fixed: dict, domains: dict, gdesc) -> Iterator[dict]:
     """Every labelling of the open pairs that closes no forbidden triangle.
 
@@ -274,11 +317,11 @@ def solve_labels(verts, fixed: dict, domains: dict, gdesc) -> Iterator[dict]:
     candidate value must lie in ``1..gdesc.diameter``; one outside raises
     :class:`InputError` with the predicate's message before the search.
     Yields nothing when the fixed labels already close a forbidden triangle.
-    Otherwise open pairs are decided in ``domains`` order, values in
-    candidate order, and a value is rejected as soon as it closes a forbidden
-    triangle with two labels already present; every leaf is yielded as a
-    dict holding the fixed and the chosen labels.  The first leaf is the
-    least labelling in that order.
+    Otherwise :func:`_backtrack` decides the open pairs in ``domains`` order,
+    values in candidate order, and rejects a value as soon as it closes a
+    forbidden triangle with two labels already present; every leaf is
+    yielded as a dict holding the fixed and the chosen labels.  The first
+    leaf is the least labelling in that order.
 
     A triangle is looked up in the per-descriptor table of suspect label
     pairs that :func:`~antipodal.membership.find_forbidden_triple` scans.
@@ -302,7 +345,8 @@ def solve_labels(verts, fixed: dict, domains: dict, gdesc) -> Iterator[dict]:
     for (u, v), label in fixed.items():
         known[u, v] = known[v, u] = label
 
-    def closes_forbidden(u, v, a) -> bool:
+    def closes_forbidden(pair, a) -> bool:
+        u, v = pair
         pairs = suspect[a]
         for w in verts:
             if w == u or w == v:
@@ -315,34 +359,23 @@ def solve_labels(verts, fixed: dict, domains: dict, gdesc) -> Iterator[dict]:
                 return True
         return False
 
-    if any(closes_forbidden(u, v, label) for (u, v), label in fixed.items()):
+    if any(closes_forbidden(pair, label) for pair, label in fixed.items()):
         return
-    domains = {(u, v): [a for a in values if not closes_forbidden(u, v, a)]
-               for (u, v), values in domains.items()}
+    domains = {pair: [a for a in values if not closes_forbidden(pair, a)]
+               for pair, values in domains.items()}
     if not all(domains.values()):
         return
-    open_pairs = list(domains)
-    tried = [0] * len(open_pairs)
-    pos = 0
-    while pos >= 0:
-        if pos == len(open_pairs):
-            yield {**fixed, **{pair: known[pair] for pair in open_pairs}}
-            pos -= 1
-            continue
-        u, v = open_pairs[pos]
-        values = domains[u, v]
-        k = tried[pos]
-        while k < len(values) and closes_forbidden(u, v, values[k]):
-            k += 1
-        if k == len(values):
-            tried[pos] = 0
+
+    def record(pair, a):
+        u, v = pair
+        if a is None:
             known.pop((u, v), None)
             known.pop((v, u), None)
-            pos -= 1
-            continue
-        known[u, v] = known[v, u] = values[k]
-        tried[pos] = k + 1
-        pos += 1
+        else:
+            known[u, v] = known[v, u] = a
+
+    for labels in _backtrack(domains, closes_forbidden, record):
+        yield {**fixed, **dict(zip(domains, labels))}
 
 
 def forbidden_cycle_oracle(cycle: CycleSpec, gdesc: GeneralClassDescriptor,

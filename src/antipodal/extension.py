@@ -19,6 +19,10 @@ matched member into a verified marked-structure partial automorphism of its
 suitable expansion: close the domain under mates, extend the index action
 order-preservingly, and flip exactly the index pairs where the image's
 valuations disagree with the source's.
+
+Every label and mark assignment, the labels of witness candidates and the
+marks that :func:`expand_witness` gives a witness, comes from the one
+backtracking loop :func:`~antipodal.completion._backtrack`.
 """
 
 from __future__ import annotations
@@ -27,16 +31,16 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .completion import OrientationSet, _orientation_args, solve_labels
+from .completion import (OrientationSet, _backtrack, _label_side_ok, _orientation_args,
+                         solve_labels)
 from .errors import InputError, InternalError, SizeLimitError
 from .membership import (ClassDescriptor, Variant, antipodal_closure,
                          delta_matching, is_member, parity_parts)
 from .structures import (Automorphism, EdgeLabelledGraph, PartialMap,
                          automorphisms, partial_automorphisms, vertex_maps)
 from .valuations import (FlipSet, GammaLStructure, IndexPermutation,
-                         LanguagePermutation, ValuationFunction,
-                         build_suitable_expansion, flip_permute,
-                         is_suitable_expansion, pad_bipartition)
+                         LanguagePermutation, Mark, ValuationFunction,
+                         build_suitable_expansion, flip_permute, pad_bipartition)
 
 FREE_FLIP_BOUND = 20  # free index-pair count above which enumeration refuses
 
@@ -565,108 +569,116 @@ def expand_witness(big: EdgeLabelledGraph, small_expansion: GammaLStructure,
                    ) -> GammaLStructure | None:
     """Suitable expansion of ``big`` extending the given one, if any exists.
 
-    Backtracks over an index and a valuation for the representative of each
-    unmarked matched edge; indices come from the language of the small
-    expansion and may repeat across edges.
+    The small expansion must be fully marked and a marked substructure of
+    ``big``: its vertices, labels and mates are those of ``big``, so both
+    ends of every long edge of ``big`` lie in it or neither does.  Anything
+    else raises :class:`InputError` naming the problem, as does a ``big``
+    that :func:`delta_matching` refuses: long edges that do not match its
+    vertices perfectly, or, in a bipartite class, no parity bipartition.
+    When ``big`` is not a member, or the small expansion is not suitable,
+    the answer is ``None``; the suitability check covers the pairs of the
+    small expansion only.
+
+    Each unmarked matched edge gets a mark ``(i, chi)`` on its
+    representative and ``i`` with the complement of ``chi`` on its mate.
+    Its domain is built once, in matching order: indices ascending,
+    valuations in ``itertools.product((0, 1), repeat=m)`` order, keeping the
+    marks that agree with every small vertex and, in the bipartite case,
+    whose index side the small marks tie to the representative's vertex
+    part.  Indices may repeat across edges.
+    :func:`~antipodal.completion._backtrack` then picks one mark per edge,
+    rejecting a mark that disagrees with one already chosen, and the first
+    leaf is the answer.  Two marks agree when
+    :func:`~antipodal.completion._label_side_ok` puts the label of their
+    vertices on the side their mutual valuations pick.
+
+    No leaf needs the audit of :func:`suitable_expansion_violations`, since
+    every leaf passes it:
+
+    - A mate carries the complement valuation, which flips the mutual bit of
+      its pairs, and in a member ``d(y, v) = delta - d(x, v)`` when ``y`` is
+      the mate of ``x``, which flips the side of the label.  So a check
+      between two representatives covers their mates, and mates themselves
+      always agree.  Comparing representatives only covers every pair.
+    - Pairs inside the small expansion hold because it is suitable and a
+      substructure of ``big``; pairs with a new vertex hold by the domains,
+      pairs of new vertices by the search.  The mates are the long edges of
+      ``big``, and ``big`` is a member.
+    - In the bipartite case the side rule puts every index of one side of
+      the small expansion's index bipartition in one vertex part and every
+      index of the other side in the other part (a side no small mark uses
+      lies opposite the one that is used), which is the part condition.
     """
     _orientation_args(desc, orientation)
     matching = delta_matching(big, desc, require_perfect=True)
-    m = small_expansion.mark_size or 0
-    marks: dict = {}
-    for v in small_expansion.vertices:
-        mark = small_expansion.mark(v)
-        if mark is None:
+    small = small_expansion.base
+    for v in small.vertices:
+        if small_expansion.mark(v) is None:
             raise InputError("the small expansion must be fully marked")
-        marks[v] = mark
-    todo = [(x, y) for x, y in matching.edges if x not in marks]
-    if m == 0:
-        if todo:
-            return None
-        return GammaLStructure(big, [], {})
-    bipartite = desc.variant is Variant.EVEN_BIPARTITE
-    lang_partition = None
-    side_part: dict[bool, bool] = {}
-    if bipartite:
-        part1, _ = parity_parts(big)
-        small_matching = delta_matching(small_expansion.base, desc, require_perfect=True)
-        d_one = small_matching.part_one or frozenset()
-        lang_partition = (d_one, frozenset(range(1, m + 1)) - d_one)
-        for v, (i, _) in marks.items():
-            side = i in d_one
-            place = v in part1
-            if side_part.setdefault(side, place) != place:
+    for x, y in matching.edges:
+        if (x in small) != (y in small):
+            inside, outside = (x, y) if x in small else (y, x)
+            raise InputError(f"long edge ({x!r}, {y!r}) pairs {inside!r} of the small "
+                             f"expansion with {outside!r}, which is outside it")
+        if x in small and (small_expansion.mate(x), small_expansion.mate(y)) != (y, x):
+            raise InputError(f"mates of ({x!r}, {y!r}) differ between the small "
+                             "expansion and the witness")
+    _check_substructure(small, big)
+    if not is_member(big, desc):
+        return None
+    rows = big._rows
+
+    def clashes(x: int, mark: Mark, others) -> bool:
+        """Whether ``mark`` on vertex position ``x`` disagrees with a placed mark."""
+        i, chi = mark
+        row = rows[x]
+        return any(not _label_side_ok(row[v], chi.bits[j - 1] ^ psi.bits[i - 1],
+                                      desc, orientation)
+                   for v, (j, psi) in others)
+
+    # Outside the bipartite case part1 and d_one are empty, so every index is
+    # on the side outside d_one, tied to the part outside part1: allowed for all.
+    part1 = parity_parts(big)[0] if desc.variant is Variant.EVEN_BIPARTITE else frozenset()
+    d_one = delta_matching(small, desc, require_perfect=True).part_one or frozenset()
+    place: dict[bool, bool] = {}  # index side (in d_one) -> its vertices lie in part1
+    placed = []  # (vertex position, mark) of each small representative
+    for x, y in matching.edges:
+        if x in small:
+            i, chi = small_expansion.mark(x)
+            if small_expansion.mark(y) != (i, chi.complement()) or \
+                    place.setdefault(i in d_one, x in part1) != (x in part1):
                 return None
-        if len(side_part) == 2 and side_part[True] == side_part[False]:
-            return None
-
-    def mutual_ok(u, mu, v, mv):
-        iu, chiu = mu
-        iv, chiv = mv
-        differ = chiu(iv) != chiv(iu)
-        label = big.dist(u, v)
-        if desc.variant is Variant.ODD_NON_BIPARTITE:
-            return differ == (label % 2 == 1)
-        if differ:
-            return label in orientation
-        return orientation.co_contains(label)
-
-    def finish():
-        mates = []
-        for x, y in matching.edges:
-            mates.append((x, y))
-            mates.append((y, x))
-        expansion = GammaLStructure(big, mates, marks)
-        if is_suitable_expansion(expansion, big, desc, orientation,
-                                 lang_partition=lang_partition):
-            return expansion
+            placed.append((big.index(x), (i, chi)))
+    for side in (True, False):  # a side no small mark uses lies opposite the other
+        place.setdefault(side, not place.get(not side))
+    if place[True] == place[False] or \
+            any(clashes(x, mark, placed[:k]) for k, (x, mark) in enumerate(placed)):
         return None
+    m = small_expansion.mark_size or 0
+    allowed = {in_one: [i for i in range(1, m + 1) if place[i in d_one] == in_one]
+               for in_one in (True, False)}
+    valuations = [ValuationFunction(bits) for bits in itertools.product((0, 1), repeat=m)]
+    todo = [(x, y) for x, y in matching.edges if x not in small]
+    positions = [big.index(x) for x, _ in todo]
+    domains = {pos: [(i, chi) for i in allowed[x in part1] for chi in valuations
+                     if not clashes(positions[pos], (i, chi), placed)]
+               for pos, (x, _) in enumerate(todo)}
+    chosen = [None] * len(todo)  # (vertex position, mark) per decided edge
 
-    def assign(pos: int):
-        if pos == len(todo):
-            return finish()
-        x, y = todo[pos]
-        for i in range(1, m + 1):
-            if bipartite:
-                side = i in lang_partition[0]
-                if side in side_part and side_part[side] != (x in part1):
-                    continue
-            for bits in itertools.product((0, 1), repeat=m):
-                chi = ValuationFunction(bits)
-                mx = (i, chi)
-                my = (i, chi.complement())
-                if not mutual_ok(x, mx, y, my):
-                    continue
-                good = True
-                for v, mv in marks.items():
-                    if not mutual_ok(x, mx, v, mv) or not mutual_ok(y, my, v, mv):
-                        good = False
-                        break
-                if not good:
-                    continue
-                marks[x] = mx
-                marks[y] = my
-                added_side = None
-                if bipartite:
-                    side = i in lang_partition[0]
-                    if side not in side_part:
-                        side_part[side] = x in part1
-                        added_side = side
-                        other = not side
-                        if other in side_part and side_part[other] == side_part[side]:
-                            del side_part[added_side]
-                            del marks[x]
-                            del marks[y]
-                            continue
-                out = assign(pos + 1)
-                if out is not None:
-                    return out
-                del marks[x]
-                del marks[y]
-                if added_side is not None:
-                    del side_part[added_side]
+    def rejects(pos, mark) -> bool:
+        return clashes(positions[pos], mark, chosen[:pos])
+
+    def record(pos, mark):
+        chosen[pos] = (positions[pos], mark)
+
+    leaf = next(_backtrack(domains, rejects, record), None)
+    if leaf is None:
         return None
-
-    return assign(0)
+    marks = {v: small_expansion.mark(v) for v in small.vertices}
+    for (x, y), (i, chi) in zip(todo, leaf):
+        marks[x], marks[y] = (i, chi), (i, chi.complement())
+    return GammaLStructure(big, [e for x, y in matching.edges for e in ((x, y), (y, x))],
+                           marks)
 
 
 @dataclass

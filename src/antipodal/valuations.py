@@ -16,14 +16,13 @@ completion symmetry-safe.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .completion import OrientationSet, _label_side_ok, _orientation_args
 from .errors import CompletionError, InputError, InternalError
-from .membership import (ClassDescriptor, DeltaMatching, Variant, delta_matching,
-                         is_member, parity_parts)
+from .membership import (ClassDescriptor, Variant, delta_matching, is_member,
+                         parity_parts)
 from .structures import EdgeLabelledGraph, Vertex
 
 
@@ -399,13 +398,6 @@ def f_from_marks(structure: GammaLStructure, u: Vertex, v: Vertex) -> int:
         structure.valuation(v)(structure.mark_index(u)) else 1
 
 
-def _side_bit(label: int, desc: ClassDescriptor, orientation: OrientationSet | None) -> int:
-    """Which side of the parity split a stored label lies on (1 = selected side)."""
-    if desc.variant is Variant.ODD_NON_BIPARTITE:
-        return label % 2
-    return 1 if label in orientation else 0
-
-
 def build_suitable_expansion(graph: EdgeLabelledGraph, desc: ClassDescriptor,
                              orientation: OrientationSet | None = None) -> GammaLStructure:
     """Mark a perfectly matched member so that parities become mark-definable.
@@ -430,8 +422,8 @@ def build_suitable_expansion(graph: EdgeLabelledGraph, desc: ClassDescriptor,
     for i, (x, y) in enumerate(matching.edges, start=1):
         bits = []
         for j in range(1, m + 1):
-            if i > j and _side_bit(graph.dist(x, matching.representative(j)),
-                                   desc, orientation) == 1:
+            if i > j and _label_side_ok(graph.dist(x, matching.representative(j)),
+                                        1, desc, orientation):
                 bits.append(1)
             else:
                 bits.append(0)

@@ -14,8 +14,10 @@ import random
 import pytest
 
 from antipodal import (Automorphism, ClassDescriptor, EdgeLabelledGraph,
-                       FlipSet, IndexPermutation, LanguagePermutation,
-                       PartialMap, is_forbidden_triangle)
+                       FlipSet, GammaLStructure, IndexPermutation,
+                       LanguagePermutation, PartialMap, ValuationFunction, Variant,
+                       delta_matching, is_forbidden_triangle,
+                       suitable_expansion_violations)
 
 
 def graph(vertices, delta, edges=()):
@@ -255,3 +257,85 @@ def random_connected_partial(rng: random.Random, n: int, max_label: int,
     return EdgeLabelledGraph(
         verts, max_label, [(min(k, key=str), max(k, key=str), l)
                            for k, l in sorted(edges.items(), key=lambda e: sorted(map(str, e[0])))])
+
+
+def mated_extensions(g: EdgeLabelledGraph, count: int):
+    """Every complete graph adding ``count`` fresh mated pairs to ``g``, members or not.
+
+    ``g`` is complete and its ``delta``-labelled pairs match its vertices
+    perfectly.  Fresh pair ``k`` is ``(rk, sk)`` at distance ``delta``.  Each
+    ``rk`` takes every label in ``1..delta-1`` to the first vertex of every
+    earlier pair (in ``g``'s edge order, then the fresh pairs), and the other
+    three labels of the two pairs follow antipodally: ``d(s, y) = d(r, x)``
+    and ``d(r, y) = d(s, x) = delta - d(r, x)`` for fresh ``(r, s)`` and
+    earlier ``(x, y)``.  No membership filter is applied.
+    """
+    delta = g.delta
+    pairs = [(u, v) for u, v, label in g.edges() if label == delta]
+    fresh = [(f"r{k}", f"s{k}") for k in range(1, count + 1)]
+    mate = {}
+    for u, v in pairs + fresh:
+        mate[u], mate[v] = v, u
+    slots = [(r, x) for k, (r, _) in enumerate(fresh) for x, _ in pairs + fresh[:k]]
+    vertices = g.vertices + tuple(v for pair in fresh for v in pair)
+    for labels in itertools.product(range(1, delta), repeat=len(slots)):
+        edges = list(g.edges()) + [(r, s, delta) for r, s in fresh]
+        for (r, x), b in zip(slots, labels):
+            edges += [(r, x, b), (mate[r], mate[x], b),
+                      (r, mate[x], delta - b), (mate[r], x, delta - b)]
+        yield EdgeLabelledGraph(vertices, delta, edges)
+
+
+def brute_expand_witness(big: EdgeLabelledGraph, small_expansion, desc,
+                         orientation=None):
+    """Oracle: the first full mark assignment that passes the suitability audit.
+
+    Each matched edge of ``big`` whose first vertex the small expansion
+    lacks takes every mark ``(i, chi)``, indices ascending and valuations in
+    ``itertools.product((0, 1), repeat=m)`` order, its second vertex the
+    complement.  The assignments are tried in ``itertools.product`` order
+    over the edges in matching order, and the first whose expansion passes
+    ``suitable_expansion_violations`` (with the small expansion's index
+    bipartition in the bipartite case) is returned; ``None`` when none does.
+    """
+    matching = delta_matching(big, desc, require_perfect=True)
+    m = small_expansion.mark_size or 0
+    marks = {v: small_expansion.mark(v) for v in small_expansion.vertices}
+    todo = [(x, y) for x, y in matching.edges if x not in marks]
+    choices = [(i, ValuationFunction(bits)) for i in range(1, m + 1)
+               for bits in itertools.product((0, 1), repeat=m)]
+    lang_partition = None
+    if desc.variant is Variant.EVEN_BIPARTITE:
+        small_matching = delta_matching(small_expansion.base, desc, require_perfect=True)
+        d_one = small_matching.part_one or frozenset()
+        lang_partition = (d_one, frozenset(range(1, m + 1)) - d_one)
+    mates = [e for x, y in matching.edges for e in ((x, y), (y, x))]
+    for assignment in itertools.product(choices, repeat=len(todo)):
+        full = dict(marks)
+        for (x, y), (i, chi) in zip(todo, assignment):
+            full[x], full[y] = (i, chi), (i, chi.complement())
+        expansion = GammaLStructure(big, mates, full)
+        if not suitable_expansion_violations(expansion, big, desc, orientation,
+                                             lang_partition):
+            return expansion
+    return None
+
+
+def brute_labellings(verts, fixed: dict, domains: dict, gdesc) -> list[dict]:
+    """Oracle: every labelling of the open pairs, filtered, in product order.
+
+    Every choice of one candidate per open pair, in ``itertools.product``
+    order over ``domains``, is kept when no triangle whose three labels are
+    all fixed or chosen is forbidden by the predicate.
+    """
+    triangles = [(frozenset((a, b)), frozenset((a, c)), frozenset((b, c)))
+                 for a, b, c in itertools.combinations(verts, 3)]
+    out = []
+    for labels in itertools.product(*domains.values()):
+        chosen = {**fixed, **dict(zip(domains, labels))}
+        known = {frozenset(pair): label for pair, label in chosen.items()}
+        if not any(all(side in known for side in sides) and
+                   is_forbidden_triangle(*(known[side] for side in sides), gdesc)
+                   for sides in triangles):
+            out.append(chosen)
+    return out

@@ -13,7 +13,8 @@ from antipodal import (ClassDescriptor, CompletionError, CycleSpec,
 
 from antipodal.completion import _canonical_cycles, solve_labels
 
-from conftest import brute_completions, graph, random_connected_partial
+from conftest import (brute_completions, brute_labellings, graph,
+                      random_connected_partial)
 
 
 class TestShortestPathCompletion:
@@ -116,6 +117,28 @@ class TestForbiddenCycleOracle:
             next(solve_labels(range(3), {(0, 1): 5}, {(0, 2): [1]}, gdesc), None)
         with pytest.raises(InputError, match=r"label 0 outside 1\.\.4"):
             next(solve_labels(range(3), {(0, 1): 1}, {(0, 2): [2, 0]}, gdesc), None)
+
+    @pytest.mark.parametrize("delta,K", [(3, 1), (4, 4), (5, 2), (7, 3)])
+    def test_solver_leaves_match_product_and_filter(self, delta, K):
+        # seeded folded instances on 4-5 vertices: each pair fixed, open with
+        # a random ordered domain, or left unlabelled
+        gdesc = ClassDescriptor(delta, K).folded()
+        labels = range(1, gdesc.diameter + 1)
+        rng = random.Random(f"solve-labels/{delta}/{K}")
+        leaves = 0
+        for _ in range(40):
+            verts = range(rng.randint(4, 5))
+            fixed, domains = {}, {}
+            for pair in itertools.combinations(verts, 2):
+                roll = rng.random()
+                if roll < 0.3:
+                    fixed[pair] = rng.choice(labels)
+                elif roll < 0.85:
+                    domains[pair] = rng.sample(labels, rng.randint(1, min(3, len(labels))))
+            want = brute_labellings(verts, fixed, domains, gdesc)
+            assert list(solve_labels(verts, fixed, domains, gdesc)) == want
+            leaves += len(want)
+        assert leaves > 0
 
     def test_length_refusal(self):
         gdesc = ClassDescriptor(3, 1).folded()

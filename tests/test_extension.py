@@ -16,8 +16,9 @@ from antipodal import (ClassDescriptor, FlipSet, GammaLStructure,
                        verify_irreducible_faithful, witness_candidates)
 from antipodal.generation import random_member
 
-from conftest import (brute_gamma_vertex_maps, brute_language_parts,
-                      brute_partial_automorphisms, graph, matched_members)
+from conftest import (brute_expand_witness, brute_gamma_vertex_maps,
+                      brute_language_parts, brute_partial_automorphisms, graph,
+                      matched_members, mated_extensions)
 
 
 def vf(bits):
@@ -310,6 +311,109 @@ class TestExpandWitness:
                                 ("v", "w", 2), ("v", "x", 2)])
         # not a member (crossing distances clash), marks cannot exist
         assert expand_witness(bad, small, desc31) is None
+
+    def test_long_edge_leaving_the_small_expansion_raises(self, edge3, desc31):
+        small = build_suitable_expansion(edge3, desc31)
+        big = graph("wxuv", 3, [("w", "u", 3), ("x", "v", 3), ("w", "x", 1),
+                                ("u", "v", 1), ("w", "v", 2), ("x", "u", 2)])
+        with pytest.raises(InputError, match=r"long edge \('w', 'u'\) pairs 'u' of "
+                                             r"the small expansion with 'w'"):
+            expand_witness(big, small, desc31)
+
+    def test_labels_differing_from_the_witness_raise(self, quad_expansion, desc31):
+        other = graph("uvwx", 3, [("u", "v", 3), ("w", "x", 3), ("u", "w", 2),
+                                  ("v", "x", 2), ("u", "x", 1), ("v", "w", 1)])
+        assert is_member(other, desc31)
+        with pytest.raises(InputError, match=r"pair \('u', 'w'\) differs"):
+            expand_witness(other, quad_expansion, desc31)
+
+    def test_mates_differing_from_the_witness_raise(self, edge3, quadruple, desc31):
+        small = build_suitable_expansion(edge3, desc31)
+        unmated = GammaLStructure(edge3, [], {v: small.mark(v) for v in "uv"})
+        with pytest.raises(InputError, match=r"mates of \('u', 'v'\) differ"):
+            expand_witness(quadruple, unmated, desc31)
+
+
+def _outcome(call, *args) -> str:
+    """``repr`` of the answer, or the message of the :class:`InputError` raised."""
+    try:
+        return repr(call(*args))
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def _spoiled(expansion: GammaLStructure) -> list[GammaLStructure]:
+    """Unsuitable variants of a suitable expansion.
+
+    The first mate keeps its representative's valuation instead of the
+    complement.  With a second edge, also: the first edge's valuation is
+    flipped at the second edge's index, which breaks the side rule between
+    them; or the second edge takes the first edge's index, which in the
+    bipartite case puts one index side in both vertex parts.
+    """
+    edges = delta_matching(expansion.base).edges
+    (x1, y1), (i1, chi1) = edges[0], expansion.mark(edges[0][0])
+    variants = [{y1: (i1, chi1)}]
+    if len(edges) > 1:
+        (x2, y2), (i2, chi2) = edges[1], expansion.mark(edges[1][0])
+        flipped = chi1.flipped([i2])
+        variants += [{x1: (i1, flipped), y1: (i1, flipped.complement())},
+                     {x2: (i1, chi2), y2: (i1, chi2.complement())}]
+    out = []
+    for changes in variants:
+        marks = {v: expansion.mark(v) for v in expansion.vertices}
+        marks.update(changes)
+        out.append(GammaLStructure(expansion.base, expansion.mate_pairs(), marks))
+    return out
+
+
+class TestExpandWitnessAgainstOracle:
+    def test_first_leaf_matches_brute_force(self):
+        # small expansions of matched members with m <= 3 (padded in (4,4)),
+        # sampled at 6 vertices, and their spoiled variants; every graph
+        # adding one fresh mated pair (two when m = 1), members or not
+        seen = set()
+        for delta, K, sizes, step in [(3, 1, (2, 4, 6), 41), (5, 2, (2, 4, 6), 661),
+                                      (4, 4, (2, 4), 1)]:
+            desc = ClassDescriptor(delta, K)
+            orientation = None
+            if desc.variant is Variant.EVEN_BIPARTITE:
+                orientation = OrientationSet.default(delta)
+            for n in sizes:
+                members = matched_members("abcdef"[:n], desc)
+                for g in itertools.islice(members, 0, None, step if n == 6 else 1):
+                    if orientation is not None:
+                        g = pad_bipartition(g, desc)
+                    expansion = build_suitable_expansion(g, desc, orientation)
+                    fresh_pairs = (1, 2) if expansion.mark_size == 1 else (1,)
+                    for small in [expansion] + _spoiled(expansion):
+                        for big in itertools.chain.from_iterable(
+                                mated_extensions(g, t) for t in fresh_pairs):
+                            got = _outcome(expand_witness, big, small, desc, orientation)
+                            assert got == _outcome(brute_expand_witness, big, small,
+                                                   desc, orientation), (big, small)
+                            member = not got.startswith("InputError") and \
+                                is_member(big, desc)
+                            seen.add((got.split("(")[0], member, small is expansion))
+        assert seen >= {("GammaLStructure", True, True), ("None", True, True),
+                        ("None", False, True), ("None", True, False)}
+        assert any(kind.startswith("InputError") for kind, _, _ in seen)
+
+    def test_index_sides_tied_to_one_vertex_part(self):
+        # both small edges lie in one parity part, but their indices 1 and 3
+        # lie on the two sides of the index bipartition ({1, 2}, {3})
+        desc = ClassDescriptor(4, 4)
+        orientation = OrientationSet.default(4)
+        big = graph("abcdef", 4, [(x, y, 4) for x, y in ("ab", "cd", "ef")] +
+                    [(u, v, 2) for u, v in itertools.combinations("abcdef", 2)
+                     if {u, v} not in ({"a", "b"}, {"c", "d"}, {"e", "f"})])
+        chi = vf((0, 0, 0))
+        small = GammaLStructure(big.induced("abcd"), ["ab", "ba", "cd", "dc"],
+                                {"a": (1, chi), "b": (1, chi.complement()),
+                                 "c": (3, chi), "d": (3, chi.complement())})
+        assert is_member(big, desc)
+        assert brute_expand_witness(big, small, desc, orientation) is None
+        assert expand_witness(big, small, desc, orientation) is None
 
 
 class TestPipeline:
