@@ -30,7 +30,8 @@ from .errors import (CompletionError, CompletionNotEquivariant, InputError,
                      SizeLimitError)
 from .membership import (ClassDescriptor, GeneralClassDescriptor, Variant,
                          _suspect_pairs, delta_matching, is_member)
-from .structures import EdgeLabelledGraph, Vertex, automorphisms, is_completion_of
+from .structures import (Automorphism, EdgeLabelledGraph, Vertex, is_completion_of,
+                         vertex_maps)
 
 
 class ParityFunction:
@@ -417,13 +418,21 @@ class BoundSearch:
     example: CycleSpec | None
 
 
+def _cycle_class(labels: tuple[int, ...]) -> tuple[int, ...]:
+    """The least of the label tuple's rotations and reflections.
+
+    Two cycles get the same key exactly when one is a rotation or a
+    reflection of the other.
+    """
+    k = len(labels)
+    rev = labels[::-1]
+    return min(min(labels[i:] + labels[:i], rev[i:] + rev[:i]) for i in range(k))
+
+
 def _canonical_cycles(length: int, diameter: int) -> Iterator[tuple[int, ...]]:
     """Label tuples of the given length, one per rotation/reflection class."""
     for labels in itertools.product(range(1, diameter + 1), repeat=length):
-        variants = [labels[i:] + labels[:i] for i in range(length)]
-        rev = labels[::-1]
-        variants += [rev[i:] + rev[:i] for i in range(length)]
-        if labels == min(variants):
+        if labels == _cycle_class(labels):
             yield labels
 
 
@@ -529,34 +538,78 @@ def check_f_conditions(graph: EdgeLabelledGraph, f: ParityFunction,
 
 
 def _folded_cycles(folded: EdgeLabelledGraph, bound: int) -> Iterator[CycleSpec]:
-    """Simple cycles of a partial graph up to the given length, each once."""
-    verts = folded.vertices
-    n = len(verts)
+    """Simple cycles of a partial graph up to the given length, each once.
 
-    def neighbours(u):
-        return [v for v in verts if v != u and folded.dist(u, v) is not None]
-
-    def extend(path: list, start_idx: int) -> Iterator[CycleSpec]:
-        u = path[-1]
-        for v in neighbours(u):
-            vi = folded.index(v)
-            if vi <= start_idx:
-                if v == path[0] and len(path) >= 3:
+    A cycle is walked from its least vertex towards the lesser of that
+    vertex's two cycle neighbours, so it is met once.  The walks are depth
+    first with neighbours in canonical order, which yields the cycles in
+    lexicographic order of their vertex positions.  Neighbour lists are read
+    off the label matrix once.
+    """
+    verts, rows = folded.vertices, folded._rows
+    neighbours = [[j for j, label in enumerate(row) if label] for row in rows]
+    for start in range(len(verts)):
+        path = [start]  # vertex positions; the start is the least on the cycle
+        todo = [iter(neighbours[start])]  # the neighbours left to try, per path vertex
+        while todo:
+            for v in todo[-1]:
+                if v <= start:
+                    u = path[-1]
                     # close only in one direction to avoid the mirrored duplicate
-                    if folded.index(path[1]) < folded.index(path[-1]):
-                        labels = tuple(folded.dist(path[i], path[i + 1])
-                                       for i in range(len(path) - 1))
-                        yield CycleSpec(labels + (folded.dist(u, path[0]),), tuple(path))
-                continue
-            if v in path:
-                continue
-            if len(path) < bound:
-                path.append(v)
-                yield from extend(path, start_idx)
+                    if v == start and len(path) >= 3 and path[1] < u:
+                        labels = tuple(rows[a][b] for a, b in zip(path, path[1:]))
+                        yield CycleSpec(labels + (rows[u][start],),
+                                        tuple(verts[a] for a in path))
+                elif v not in path and len(path) < bound:
+                    path.append(v)
+                    todo.append(iter(neighbours[v]))
+                    break
+            else:
+                todo.pop()
                 path.pop()
 
-    for s in range(n):
-        yield from extend([verts[s]], s)
+
+def _first_forbidden_cycle(folded: EdgeLabelledGraph, gdesc: GeneralClassDescriptor,
+                           cycle_bound: int) -> CycleSpec | None:
+    """The first cycle of :func:`_folded_cycles` that the oracle forbids, or ``None``.
+
+    The oracle decides each rotation/reflection class (:func:`_cycle_class`)
+    once per call; :func:`antipodal_complete` says why that gives the answer
+    of a sweep deciding every cycle afresh.  The verdicts live only as long
+    as the call.
+    """
+    # label tuple -> verdict of its class, filled for each class key and for
+    # each label tuple met
+    verdicts: dict[tuple[int, ...], bool] = {}
+    for cyc in _folded_cycles(folded, min(cycle_bound, len(folded))):
+        verdict = verdicts.get(cyc.labels)
+        if verdict is None:
+            key = _cycle_class(cyc.labels)
+            if key not in verdicts:
+                verdicts[key] = forbidden_cycle_oracle(cyc, gdesc, max_length=cycle_bound)
+            verdict = verdicts[cyc.labels] = verdicts[key]
+        if verdict:
+            return cyc
+    return None
+
+
+def _f_preserving_maps(graph: EdgeLabelledGraph, f: ParityFunction) -> Iterator[frozenset]:
+    """The automorphisms of ``graph`` that preserve the total pair function ``f``.
+
+    :func:`~antipodal.structures.vertex_maps` rejects ``v -> t`` when
+    ``f(v, s) != f(t, g(s))`` for a vertex ``s`` already mapped, so every
+    pair is compared once its later vertex is mapped.  The maps come in the
+    order of :func:`~antipodal.structures.automorphisms`, as the subsequence
+    that preserves ``f`` (the argument is in :func:`antipodal_complete`).
+    """
+    values = {u: {v: f.value(u, v) for v in graph.vertices if v != u}
+              for u in graph.vertices}
+
+    def fits(v, t, assigned) -> bool:
+        fv, ft = values[v], values[t]
+        return all(fv[s] == ft[g] for s, g in assigned.items())
+
+    return vertex_maps(graph, fits=fits)
 
 
 def _complete_folded(folded: EdgeLabelledGraph, gdesc: GeneralClassDescriptor,
@@ -603,6 +656,21 @@ def antipodal_complete(graph: EdgeLabelledGraph, f: ParityFunction,
     input, every pair must sit on its ``f`` side, and every input symmetry
     preserving ``f`` must remain a symmetry (otherwise
     :class:`CompletionNotEquivariant` is raised).
+
+    Two shortcuts keep every answer and message the same:
+
+    - The forbidden-cycle precondition decides each rotation/reflection class
+      of cycle labels once per call and reuses the verdict for the rest of
+      the class.  Rotating or reflecting a cycle gives an isomorphic partial
+      structure, so the oracle's verdict cannot change.  The cycles are still
+      met in the same order, and the first forbidden one is named, not the
+      representative of its class.
+    - The equivariance audit enumerates only the symmetries that preserve
+      ``f``: the vertex-map search drops a partial map as soon as it breaks
+      ``f`` on two mapped vertices.  Every extension of such a map breaks
+      ``f`` as well, so no ``f``-preserving symmetry is lost, and the rest
+      come in the same depth-first order as :func:`automorphisms` gives
+      them, so the same first broken symmetry is named.
     """
     _orientation_args(desc, orientation)
     if len(graph) > verify_limit:
@@ -643,11 +711,11 @@ def antipodal_complete(graph: EdgeLabelledGraph, f: ParityFunction,
         [(u, v, graph.dist(u, v)) for i, u in enumerate(reps)
          for v in reps[i + 1:] if graph.dist(u, v) is not None])
     gdesc = desc.folded()
-    for cyc in _folded_cycles(folded, min(cycle_bound, len(folded))):
-        if forbidden_cycle_oracle(cyc, gdesc, max_length=cycle_bound):
-            raise PreconditionError(
-                "forbidden-cycle", f"folded image contains the forbidden cycle "
-                f"{cyc.labels} on {cyc.vertices}", cyc.vertices)
+    cyc = _first_forbidden_cycle(folded, gdesc, cycle_bound)
+    if cyc is not None:
+        raise PreconditionError(
+            "forbidden-cycle", f"folded image contains the forbidden cycle "
+            f"{cyc.labels} on {cyc.vertices}", cyc.vertices)
     mid = (delta + 1) // 2
     domains: dict[tuple[Vertex, Vertex], list[int]] = {}
     for i, u in enumerate(reps):
@@ -683,12 +751,13 @@ def antipodal_complete(graph: EdgeLabelledGraph, f: ParityFunction,
     for u, v, label in completed.edges():
         if not _label_side_ok(label, f.value(u, v), desc, orientation):
             raise InternalError("internal: completion broke the parity function")
-    for g in automorphisms(graph, max_vertices=verify_limit):
-        preserves = all(f.value(u, v) == f.value(g[u], g[v]) for u, v in graph.pairs())
-        if not preserves:
-            continue
-        for u, v in completed.pairs():
-            if completed.dist(u, v) != completed.dist(g[u], g[v]):
-                raise CompletionNotEquivariant(
-                    f"completion drops the parity-preserving symmetry {g!r}", g)
+    rows, n = completed._rows, len(completed)
+    for pairs in _f_preserving_maps(graph, f):
+        image = dict(pairs)
+        moved = [completed.index(image[v]) for v in completed.vertices]
+        if any(rows[i][j] != rows[moved[i]][moved[j]]
+               for i in range(n) for j in range(i + 1, n)):
+            g = Automorphism(pairs)
+            raise CompletionNotEquivariant(
+                f"completion drops the parity-preserving symmetry {g!r}", g)
     return completed

@@ -572,12 +572,12 @@ def expand_witness(big: EdgeLabelledGraph, small_expansion: GammaLStructure,
     The small expansion must be fully marked and a marked substructure of
     ``big``: its vertices, labels and mates are those of ``big``, so both
     ends of every long edge of ``big`` lie in it or neither does.  Anything
-    else raises :class:`InputError` naming the problem, as does a ``big``
-    that :func:`delta_matching` refuses: long edges that do not match its
-    vertices perfectly, or, in a bipartite class, no parity bipartition.
-    When ``big`` is not a member, or the small expansion is not suitable,
-    the answer is ``None``; the suitability check covers the pairs of the
-    small expansion only.
+    else raises :class:`InputError` naming the problem, as do a ``big``
+    whose diameter is not the class's and one whose long edges do not match
+    its vertices perfectly.  When ``big`` is not a member (in a bipartite
+    class, also when it has no parity bipartition), or the small expansion
+    is not suitable, the answer is ``None``; the suitability check covers
+    the pairs of the small expansion only.
 
     Each unmarked matched edge gets a mark ``(i, chi)`` on its
     representative and ``i`` with the complement of ``chi`` on its mate.
@@ -610,7 +610,11 @@ def expand_witness(big: EdgeLabelledGraph, small_expansion: GammaLStructure,
       lies opposite the one that is used), which is the part condition.
     """
     _orientation_args(desc, orientation)
-    matching = delta_matching(big, desc, require_perfect=True)
+    if desc.delta != big.delta:
+        raise InputError(f"descriptor diameter {desc.delta} != graph delta {big.delta}")
+    # without ``desc`` no index bipartition is built, which would need the
+    # parity parts of ``big`` before its membership is known
+    matching = delta_matching(big, require_perfect=True)
     small = small_expansion.base
     for v in small.vertices:
         if small_expansion.mark(v) is None:

@@ -454,25 +454,27 @@ def suitable_expansion_violations(expansion: GammaLStructure, graph: EdgeLabelle
     if not is_member(graph, desc):
         return ["underlying graph is not a class member"]
     delta = desc.delta
-    for u in graph.vertices:
-        for v in graph.vertices:
-            if u == v:
-                continue
-            is_mate = expansion.mate(u) == v
-            if is_mate != (graph.dist(u, v) == delta):
+    vs, rows = graph.vertices, graph._rows
+    mate = {v: expansion.mate(v) for v in vs}
+    mark = {v: expansion.mark(v) for v in vs}
+    for i, u in enumerate(vs):
+        for j, v in enumerate(vs):
+            if i != j and (mate[u] == v) != (rows[i][j] == delta):
                 out.append(f"mate map disagrees with distance {delta} on ({u}, {v})")
-    unmarked = [v for v in graph.vertices if expansion.mark(v) is None]
+    unmarked = [v for v in vs if mark[v] is None]
     if unmarked:
         out.append(f"vertices without a mark: {unmarked}")
         return out
     for u, v, label in graph.edges():
         if label == delta:
-            iu, chiu = expansion.mark(u)
-            iv, chiv = expansion.mark(v)
+            iu, chiu = mark[u]
+            iv, chiv = mark[v]
             if iu != iv or chiv != chiu.complement():
                 out.append(f"mates ({u}, {v}) do not carry complementary marks")
     for u, v, label in graph.edges():
-        differ = f_from_marks(expansion, u, v) == 1
+        # the mutual bit of f_from_marks; every index lies within every valuation
+        (iu, chiu), (iv, chiv) = mark[u], mark[v]
+        differ = chiu.bits[iv - 1] != chiv.bits[iu - 1]
         if desc.variant is Variant.ODD_NON_BIPARTITE:
             if differ != (label % 2 == 1):
                 out.append(f"mutual valuations on ({u}, {v}) disagree with parity {label}")
@@ -490,9 +492,9 @@ def suitable_expansion_violations(expansion: GammaLStructure, graph: EdgeLabelle
         if d1 is None:
             out.append("no index bipartition available for the partition condition")
         else:
-            p1 = frozenset(v for v in graph.vertices if expansion.mark_index(v) in d1)
-            p2 = frozenset(v for v in graph.vertices if expansion.mark_index(v) in d2)
-            if p1 | p2 != frozenset(graph.vertices):
+            p1 = frozenset(v for v in vs if mark[v][0] in d1)
+            p2 = frozenset(v for v in vs if mark[v][0] in d2)
+            if p1 | p2 != frozenset(vs):
                 out.append("some mark index lies outside the index bipartition")
             elif not ((p1 == part1 and p2 == part2) or (p1 == part2 and p2 == part1)):
                 out.append("mark indices do not respect the vertex bipartition")

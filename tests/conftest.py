@@ -259,6 +259,26 @@ def random_connected_partial(rng: random.Random, n: int, max_label: int,
                            for k, l in sorted(edges.items(), key=lambda e: sorted(map(str, e[0])))])
 
 
+def brute_simple_cycles(g: EdgeLabelledGraph, bound: int) -> list[tuple[tuple, tuple]]:
+    """Oracle: every simple cycle of 3..``bound`` labelled pairs, once each.
+
+    All vertex sequences are tried and a cycle is kept in the one writing
+    that starts at its least vertex (canonical order) and goes on to the
+    lesser of that vertex's two cycle neighbours.  The ``(labels, vertices)``
+    pairs are listed in lexicographic order of the vertex positions.
+    """
+    verts = g.vertices
+    found = []
+    for k in range(3, bound + 1):
+        for seq in itertools.permutations(range(len(verts)), k):
+            if seq[0] != min(seq) or seq[1] > seq[-1]:
+                continue
+            labels = tuple(g.dist(verts[seq[i]], verts[seq[(i + 1) % k]]) for i in range(k))
+            if None not in labels:
+                found.append((seq, labels))
+    return [(labels, tuple(verts[i] for i in seq)) for seq, labels in sorted(found)]
+
+
 def mated_extensions(g: EdgeLabelledGraph, count: int):
     """Every complete graph adding ``count`` fresh mated pairs to ``g``, members or not.
 
@@ -297,8 +317,12 @@ def brute_expand_witness(big: EdgeLabelledGraph, small_expansion, desc,
     over the edges in matching order, and the first whose expansion passes
     ``suitable_expansion_violations`` (with the small expansion's index
     bipartition in the bipartite case) is returned; ``None`` when none does.
+    The audit fails every assignment on a ``big`` that is not a member, so
+    then the answer is ``None`` without trying them.
     """
-    matching = delta_matching(big, desc, require_perfect=True)
+    matching = delta_matching(big, require_perfect=True)
+    if not brute_is_member(big, desc):
+        return None
     m = small_expansion.mark_size or 0
     marks = {v: small_expansion.mark(v) for v in small_expansion.vertices}
     todo = [(x, y) for x, y in matching.edges if x not in marks]

@@ -1,20 +1,27 @@
 import itertools
+import pathlib
 import random
 
 import pytest
 
-from antipodal import (ClassDescriptor, CompletionError, CycleSpec,
+from antipodal import (Automorphism, ClassDescriptor, CompletionError,
+                       CompletionNotEquivariant, CycleSpec,
                        GeneralClassDescriptor, InputError, NonMetricCycleError,
                        OrientationSet, ParityFunction, PreconditionError,
-                       antipodal_complete, automorphisms, check_f_conditions,
-                       find_non_metric_cycle, forbidden_cycle_oracle,
-                       is_completion_of, is_member, local_finiteness_bound,
-                       shortest_path_completion)
+                       Variant, antipodal_complete, automorphisms,
+                       check_f_conditions, find_non_metric_cycle,
+                       forbidden_cycle_oracle, is_completion_of, is_member,
+                       local_finiteness_bound, shortest_path_completion)
 
-from antipodal.completion import _canonical_cycles, solve_labels
+from antipodal.completion import (_canonical_cycles, _f_preserving_maps,
+                                  _first_forbidden_cycle, _folded_cycles,
+                                  solve_labels)
+from antipodal.fileformat import read_structure_file
 
-from conftest import (brute_completions, brute_labellings, graph,
-                      random_connected_partial)
+from conftest import (brute_completions, brute_labellings, brute_simple_cycles,
+                      graph, random_connected_partial)
+
+COMPLETION_FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "completion"
 
 
 class TestShortestPathCompletion:
@@ -311,3 +318,149 @@ class TestAntipodalComplete:
         with pytest.raises(InputError):
             antipodal_complete(quadruple, canonical_f(quadruple),
                                ClassDescriptor(4, 4))
+
+
+def random_folded(rng: random.Random, n: int, diameter: int, density: float):
+    """Partial graph on ``x0 .. x{n-1}`` with random labels on some pairs."""
+    verts = [f"x{i}" for i in range(n)]
+    return graph(verts, diameter,
+                 [(u, v, rng.randint(1, diameter))
+                  for u, v in itertools.combinations(verts, 2) if rng.random() < density])
+
+
+def sweep_first_forbidden(folded, gdesc, cycle_bound):
+    """The first forbidden cycle, deciding every cycle afresh, or ``None``."""
+    for labels, verts in brute_simple_cycles(folded, min(cycle_bound, len(folded))):
+        if forbidden_cycle_oracle(CycleSpec(labels), gdesc, max_length=cycle_bound):
+            return labels, verts
+    return None
+
+
+def doubled(folded, desc: ClassDescriptor, rng: random.Random):
+    """Partial antipodal graph folding to ``folded``, with a coherent ``f``.
+
+    Folded vertex ``x<i>`` keeps its name and gets the mate ``y<i>``.  ``f``
+    follows the labels on labelled pairs and is drawn at random on the
+    others, equal on parallel pairs and opposite on crossing ones.
+    """
+    delta = desc.delta
+    orientation = None
+    if desc.variant is Variant.EVEN_BIPARTITE:
+        orientation = OrientationSet.default(delta)
+
+    def side(a):
+        if a is None or 2 * a == delta:
+            return rng.randint(0, 1)
+        return a % 2 if orientation is None else int(a in orientation)
+
+    pairs = [(x, "y" + x[1:]) for x in folded.vertices]
+    edges, bits = [], []
+    for x, y in pairs:
+        edges.append((x, y, delta))
+        bits.append((x, y, 1))
+    for (xi, yi), (xj, yj) in itertools.combinations(pairs, 2):
+        a = folded.dist(xi, xj)
+        bit = side(a)
+        if a is not None:
+            edges += [(xi, xj, a), (yi, yj, a), (xi, yj, delta - a), (yi, xj, delta - a)]
+        bits += [(xi, xj, bit), (yi, yj, bit), (xi, yj, 1 - bit), (yi, xj, 1 - bit)]
+    verts = [v for pair in pairs for v in pair]
+    return graph(verts, delta, edges), ParityFunction(bits), orientation
+
+
+class TestFoldedCycles:
+    def test_cycles_match_brute_force(self):
+        # seeded partial graphs of 0-7 vertices: the same cycles in the same order
+        rng = random.Random(11)
+        lengths = set()
+        for _ in range(150):
+            g = random_folded(rng, rng.randint(0, 7), 3, rng.choice((0.3, 0.6, 1.0)))
+            bound = rng.randint(3, 7)
+            got = [(c.labels, c.vertices) for c in _folded_cycles(g, bound)]
+            assert got == brute_simple_cycles(g, bound), (g, bound)
+            lengths.update(len(labels) for labels, _ in got)
+        assert lengths == {3, 4, 5, 6, 7}
+
+
+class TestForbiddenCyclePrecondition:
+    CLASSES = [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3), (4, 4), (6, 6)]
+
+    def test_first_forbidden_cycle_matches_unmemoised_sweep(self):
+        # seeded folded partial graphs of 3-7 vertices in eight classes
+        rng = random.Random(5)
+        outcomes = set()
+        for trial in range(400):
+            gdesc = ClassDescriptor(*self.CLASSES[trial % len(self.CLASSES)]).folded()
+            g = random_folded(rng, rng.randint(3, 7), gdesc.diameter,
+                              rng.choice((0.4, 0.6, 0.8)))
+            cycle_bound = rng.randint(3, 8)
+            got = _first_forbidden_cycle(g, gdesc, cycle_bound)
+            want = sweep_first_forbidden(g, gdesc, cycle_bound)
+            assert (got and (got.labels, got.vertices)) == want, (g, gdesc, cycle_bound)
+            outcomes.add(want and len(want[0]))
+        assert {None, 3, 4, 5} <= outcomes
+
+    def test_precondition_message_matches_unmemoised_sweep(self):
+        # folded graphs of 3-5 vertices doubled into partial antipodal graphs
+        rng = random.Random(6)
+        outcomes = set()
+        for trial in range(120):
+            desc = ClassDescriptor(*self.CLASSES[trial % len(self.CLASSES)])
+            g = random_folded(rng, rng.randint(3, 5), desc.delta - 1,
+                              rng.choice((0.4, 0.7)))
+            partial, f, orientation = doubled(g, desc, rng)
+            want = sweep_first_forbidden(g, desc.folded(), 8)
+            try:
+                antipodal_complete(partial, f, desc, orientation, verify_limit=10)
+                got = None
+            except PreconditionError as exc:
+                got = str(exc)
+            except CompletionError:
+                got = None
+            assert got == (want and "forbidden-cycle: folded image contains the "
+                           f"forbidden cycle {want[0]} on {want[1]}"), (partial, desc)
+            outcomes.add(want and len(want[0]))
+        assert {None, 3, 4} <= outcomes
+
+
+class TestEquivarianceAudit:
+    def test_f_preserving_maps_filter_automorphisms(self):
+        # seeded partial graphs with few labels; f is the disagreement of a
+        # random 2-colouring, sometimes with noise, so that many symmetries
+        # exist and many of them break f
+        rng = random.Random(9)
+        kept = dropped = 0
+        for _ in range(150):
+            n = rng.randint(0, 7)
+            g = random_folded(rng, n, 2, rng.choice((0.0, 0.3, 0.6)))
+            colour = [rng.randint(0, 1) for _ in range(n)]
+            noise = rng.choice((0.0, 0.1))
+            f = ParityFunction([(u, v, colour[i] ^ colour[j] ^ (rng.random() < noise))
+                                for (i, u), (j, v) in itertools.combinations(
+                                    enumerate(g.vertices), 2)])
+            everything = automorphisms(g, max_vertices=7)
+            want = [a.pairs for a in everything
+                    if all(f.value(u, v) == f.value(a[u], a[v]) for u, v in g.pairs())]
+            assert list(_f_preserving_maps(g, f)) == want, (g, f)
+            kept += len(want)
+            dropped += len(everything) - len(want)
+        assert kept > 500 and dropped > 5000
+
+    # (4,4) partial members whose f comes from the member's own suitable
+    # expansion; the completion breaks an f-preserving symmetry that swaps
+    # two long edges and fixes every other vertex
+    @pytest.mark.parametrize("name, swapped", [
+        ("c48", [("x4a9f0859", "y7835fdae"), ("y4a9f0859", "x7835fdae")]),
+        ("c211", [("x2306d930", "xaf7d2d2a"), ("y2306d930", "yaf7d2d2a")]),
+    ])
+    def test_completion_not_equivariant(self, name, swapped):
+        parsed = read_structure_file(COMPLETION_FIXTURES / f"{name}.elg")
+        moved = {}
+        for u, v in swapped:
+            moved[u], moved[v] = v, u
+        g = Automorphism.of({v: moved.get(v, v) for v in parsed.graph.vertices})
+        with pytest.raises(CompletionNotEquivariant) as err:
+            antipodal_complete(parsed.graph, parsed.parity, parsed.descriptor,
+                               OrientationSet.default(4), verify_limit=16)
+        assert str(err.value) == f"completion drops the parity-preserving symmetry {g!r}"
+        assert err.value.automorphism == g

@@ -11,8 +11,8 @@ from antipodal import (ClassDescriptor, FlipSet, GammaLStructure,
                        delta_matching, expand_witness,
                        extend_partial_automorphism, f_from_marks,
                        gamma_automorphisms, gamma_partial_automorphisms,
-                       is_member, pad_bipartition, partial_automorphisms,
-                       pipeline, search_witness, verify_eppa_witness,
+                       is_member, pad_bipartition, parity_parts,
+                       partial_automorphisms, pipeline, search_witness, verify_eppa_witness,
                        verify_irreducible_faithful, witness_candidates)
 from antipodal.generation import random_member
 
@@ -333,6 +333,11 @@ class TestExpandWitness:
         with pytest.raises(InputError, match=r"mates of \('u', 'v'\) differ"):
             expand_witness(quadruple, unmated, desc31)
 
+    def test_diameter_differing_from_the_class_raises(self, edge3, quadruple):
+        small = build_suitable_expansion(edge3, ClassDescriptor(3, 1))
+        with pytest.raises(InputError, match=r"^descriptor diameter 5 != graph delta 3$"):
+            expand_witness(quadruple, small, ClassDescriptor(5, 2))
+
 
 def _outcome(call, *args) -> str:
     """``repr`` of the answer, or the message of the :class:`InputError` raised."""
@@ -373,6 +378,7 @@ class TestExpandWitnessAgainstOracle:
         # sampled at 6 vertices, and their spoiled variants; every graph
         # adding one fresh mated pair (two when m = 1), members or not
         seen = set()
+        unsplit = []  # outcomes on (4,4) graphs that have no parity bipartition
         for delta, K, sizes, step in [(3, 1, (2, 4, 6), 41), (5, 2, (2, 4, 6), 661),
                                       (4, 4, (2, 4), 1)]:
             desc = ClassDescriptor(delta, K)
@@ -395,9 +401,15 @@ class TestExpandWitnessAgainstOracle:
                             member = not got.startswith("InputError") and \
                                 is_member(big, desc)
                             seen.add((got.split("(")[0], member, small is expansion))
+                            if orientation is not None and not member:
+                                try:
+                                    parity_parts(big)
+                                except InputError:
+                                    unsplit.append(got)
         assert seen >= {("GammaLStructure", True, True), ("None", True, True),
                         ("None", False, True), ("None", True, False)}
-        assert any(kind.startswith("InputError") for kind, _, _ in seen)
+        # a non-member answers None also when it has no parity bipartition
+        assert unsplit and set(unsplit) == {"None"}
 
     def test_index_sides_tied_to_one_vertex_part(self):
         # both small edges lie in one parity part, but their indices 1 and 3
