@@ -9,7 +9,9 @@ labelled cycle can be completed inside a five-parameter family, which powers
 antipodal graph whose long edges form a perfect matching, steering the parity
 of every new distance with a two-valued pair function and auditing afterwards
 that the completion is a member, matches the parities, and keeps every
-parity-preserving symmetry of the input.
+parity-preserving symmetry of the input.  It enumerates the cycles of the
+folded image only when its search finds no completion, to name the forbidden
+cycle that stands in the way.
 
 Every label and mark assignment in the package comes from the one
 backtracking loop :func:`_backtrack`: labels through :func:`solve_labels`,
@@ -29,9 +31,11 @@ from .errors import (CompletionError, CompletionNotEquivariant, InputError,
                      InternalError, NonMetricCycleError, PreconditionError,
                      SizeLimitError)
 from .membership import (ClassDescriptor, GeneralClassDescriptor, Variant,
-                         _suspect_pairs, delta_matching, is_member)
+                         _doubled_edges, _suspect_pairs, delta_matching, fold, is_member)
 from .structures import (Automorphism, EdgeLabelledGraph, Vertex, is_completion_of,
                          vertex_maps)
+
+CYCLE_BOUND = 8  # longest folded cycle the completion's forbidden-cycle walk checks
 
 
 class ParityFunction:
@@ -162,25 +166,6 @@ class CycleSpec:
         return 2 * max(self.labels) > sum(self.labels)
 
 
-def _components(graph: EdgeLabelledGraph) -> list[set]:
-    seen: set = set()
-    out = []
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in graph.vertices:
-                if v not in comp and v != u and graph.dist(u, v) is not None:
-                    comp.add(v)
-                    frontier.append(v)
-        seen |= comp
-        out.append(comp)
-    return out
-
-
 def _shortest_avoiding(graph: EdgeLabelledGraph, source: Vertex, target: Vertex):
     """Shortest weighted path from source to target that skips the direct edge.
 
@@ -235,10 +220,6 @@ def shortest_path_completion(graph: EdgeLabelledGraph) -> EdgeLabelledGraph:
     """
     if len(graph) <= 1:
         return graph
-    comps = _components(graph)
-    if len(comps) > 1:
-        raise InputError(
-            f"graph is disconnected ({len(comps)} components); complete per component")
     verts = graph.vertices
     n = len(verts)
     d = [[math.inf] * n for _ in range(n)]
@@ -258,6 +239,11 @@ def shortest_path_completion(graph: EdgeLabelledGraph) -> EdgeLabelledGraph:
                 if alt < row[j]:
                     row[j] = alt
                     d[j][i] = alt
+    # a vertex is the first of its component when no earlier one reaches it
+    comps = sum(all(x == math.inf for x in d[i][:i]) for i in range(n))
+    if comps > 1:
+        raise InputError(
+            f"graph is disconnected ({comps} components); complete per component")
     for u, v, label in graph.edges():
         if d[graph.index(u)][graph.index(v)] < label:
             cycle = find_non_metric_cycle(graph)
@@ -639,31 +625,41 @@ def _complete_folded(folded: EdgeLabelledGraph, gdesc: GeneralClassDescriptor,
 
 def antipodal_complete(graph: EdgeLabelledGraph, f: ParityFunction,
                        desc: ClassDescriptor, orientation: OrientationSet | None = None,
-                       *, cycle_bound: int = 8, verify_limit: int = 12) -> EdgeLabelledGraph:
+                       *, verify_limit: int = 12) -> EdgeLabelledGraph:
     """Complete a partial antipodal graph, steering parities with ``f``.
 
     Preconditions (each failure raises :class:`PreconditionError` naming the
     clause): the long edges form a perfect matching; any vertex joined to one
     endpoint of a long edge is joined to both, with the two distances summing
-    to the diameter; the folded image contains no forbidden cycle up to
-    ``cycle_bound``; ``f`` passes :func:`check_f_conditions`.
+    to the diameter; ``f`` passes :func:`check_f_conditions`; the folded
+    image contains no forbidden cycle up to :data:`CYCLE_BOUND` edges.
 
     The completion works on the folded image: each undecided pair of long
     edges gets one unknown, whose candidate values are the side of
     ``{a, delta-a}`` selected by ``f``, ordered centre-first.  A deterministic
-    search fills them, the four crossing distances are pulled back from each
-    unknown, and the result is audited: it must be a member extending the
-    input, every pair must sit on its ``f`` side, and every input symmetry
-    preserving ``f`` must remain a symmetry (otherwise
-    :class:`CompletionNotEquivariant` is raised).
+    search fills them, :func:`~antipodal.membership._doubled_edges` turns the
+    folded labels into every label, and the result is audited: it must be a
+    member extending the input, every pair must sit on its ``f`` side, and
+    every input symmetry preserving ``f`` must remain a symmetry (otherwise
+    :class:`CompletionNotEquivariant` is raised).  The input's own labels
+    come back unchanged, since the antipodal-sum precondition makes each of
+    them the law's value.
 
-    Two shortcuts keep every answer and message the same:
+    Three shortcuts keep every answer and message the same:
 
-    - The forbidden-cycle precondition decides each rotation/reflection class
-      of cycle labels once per call and reuses the verdict for the rest of
-      the class.  Rotating or reflecting a cycle gives an isomorphic partial
-      structure, so the oracle's verdict cannot change.  The cycles are still
-      met in the same order, and the first forbidden one is named, not the
+    - The forbidden cycles are looked for only when the search fails.  A
+      completion of the folded image, restricted to the vertices of one of
+      its cycles, completes that cycle inside the folded family, so no cycle
+      of a completable folded image is forbidden: a completion found means
+      the precondition holds.  When the search fails, the cycle walk names
+      the first forbidden cycle that checking the precondition first would
+      name, or finds none, and then :class:`CompletionError` is raised.
+      Inputs with a forbidden cycle pay for the failing search first.
+    - The cycle walk decides each rotation/reflection class of cycle labels
+      once per call and reuses the verdict for the rest of the class.
+      Rotating or reflecting a cycle gives an isomorphic partial structure,
+      so the oracle's verdict cannot change.  The cycles are still met in
+      the same order, and the first forbidden one is named, not the
       representative of its class.
     - The equivariance audit enumerates only the symmetries that preserve
       ``f``: the vertex-map search drops a partial map as soon as it breaks
@@ -705,46 +701,26 @@ def antipodal_complete(graph: EdgeLabelledGraph, f: ParityFunction,
             "parity-function",
             f"{len(violations)} condition(s) broken, first: {first.message}",
             first.vertices)
-    reps = [x for x, _ in matching.edges]
-    folded = EdgeLabelledGraph(
-        reps, max(delta - 1, 1),
-        [(u, v, graph.dist(u, v)) for i, u in enumerate(reps)
-         for v in reps[i + 1:] if graph.dist(u, v) is not None])
+    folded = fold(graph, matching)
     gdesc = desc.folded()
-    cyc = _first_forbidden_cycle(folded, gdesc, cycle_bound)
-    if cyc is not None:
-        raise PreconditionError(
-            "forbidden-cycle", f"folded image contains the forbidden cycle "
-            f"{cyc.labels} on {cyc.vertices}", cyc.vertices)
     mid = (delta + 1) // 2
     domains: dict[tuple[Vertex, Vertex], list[int]] = {}
-    for i, u in enumerate(reps):
-        for v in reps[i + 1:]:
-            if folded.dist(u, v) is not None:
-                continue
-            bit = f.value(u, v)
-            cands = [a for a in range(1, delta)
-                     if _label_side_ok(a, bit, desc, orientation)]
-            domains[(u, v)] = sorted(cands, key=lambda a: (abs(a - mid), a))
+    for u, v in folded.undefined_pairs():
+        bit = f.value(u, v)
+        cands = [a for a in range(1, delta)
+                 if _label_side_ok(a, bit, desc, orientation)]
+        domains[(u, v)] = sorted(cands, key=lambda a: (abs(a - mid), a))
     solution = _complete_folded(folded, gdesc, domains)
     if solution is None:
+        cyc = _first_forbidden_cycle(folded, gdesc, CYCLE_BOUND)
+        if cyc is not None:
+            raise PreconditionError(
+                "forbidden-cycle", f"folded image contains the forbidden cycle "
+                f"{cyc.labels} on {cyc.vertices}", cyc.vertices)
         raise CompletionError(
             "no completion matches the parity function within the class")
-    edges = list(graph.edges())
-    have = {frozenset((u, v)) for u, v, _ in graph.edges()}
-
-    def put(u, v, label):
-        if frozenset((u, v)) not in have:
-            edges.append((u, v, label))
-            have.add(frozenset((u, v)))
-
-    for (u, v), b in solution.items():
-        yu, yv = matching.mate(u), matching.mate(v)
-        put(u, v, b)
-        put(yu, yv, b)
-        put(u, yv, delta - b)
-        put(yu, v, delta - b)
-    completed = EdgeLabelledGraph(graph.vertices, delta, edges)
+    completed = EdgeLabelledGraph(graph.vertices, delta, _doubled_edges(
+        matching.edges, ((u, v, b) for (u, v), b in solution.items()), delta))
     if not (completed.is_complete() and is_completion_of(completed, graph)
             and is_member(completed, desc)):
         raise InternalError("internal: folded solution pulled back inconsistently")

@@ -34,8 +34,8 @@ from typing import Iterator
 from .completion import (OrientationSet, _backtrack, _label_side_ok, _orientation_args,
                          solve_labels)
 from .errors import InputError, InternalError, SizeLimitError
-from .membership import (ClassDescriptor, Variant, antipodal_closure,
-                         delta_matching, is_member, parity_parts)
+from .membership import (ClassDescriptor, Variant, _doubled_edges, _fresh_name,
+                         antipodal_closure, delta_matching, is_member, parity_parts)
 from .structures import (Automorphism, EdgeLabelledGraph, PartialMap,
                          automorphisms, partial_automorphisms, vertex_maps)
 from .valuations import (FlipSet, GammaLStructure, IndexPermutation,
@@ -467,19 +467,6 @@ def verify_irreducible_faithful(small: EdgeLabelledGraph, big: EdgeLabelledGraph
     return True
 
 
-def _fresh_names(prefix: str, count: int, taken: set) -> list[str]:
-    out = []
-    i = 1
-    while len(out) < count:
-        name = f"{prefix}{i}"
-        while name in taken:
-            name += "+"
-        taken.add(name)
-        out.append(name)
-        i += 1
-    return out
-
-
 def witness_candidates(graph: EdgeLabelledGraph, desc: ClassDescriptor,
                        max_vertices: int) -> Iterator[EdgeLabelledGraph]:
     """Members with a perfect matching containing ``graph``, smallest first.
@@ -488,8 +475,9 @@ def witness_candidates(graph: EdgeLabelledGraph, desc: ClassDescriptor,
     is canonical: each unmatched input vertex mates the next fresh vertex, and
     leftover fresh vertices pair up consecutively.  Only the folded distances
     between fresh edges remain free; every leaf of :func:`solve_labels` over
-    them, in canonical order, is unfolded and kept when it is a member, which
-    makes the stream deterministic.
+    them, in canonical order, is unfolded by
+    :func:`~antipodal.membership._doubled_edges` and kept when it is a
+    member, which makes the stream deterministic.
     """
     if not is_member(graph, desc):
         raise InputError("witness candidates extend class members")
@@ -497,6 +485,10 @@ def witness_candidates(graph: EdgeLabelledGraph, desc: ClassDescriptor,
     gdesc = desc.folded()
     base_matching = delta_matching(graph)
     unmatched = [v for v in graph.vertices if v not in base_matching.covered()]
+    # the input's representatives: every vertex but the later end of a long edge
+    later = {y for _, y in base_matching.edges}
+    inner = graph.induced(v for v in graph.vertices if v not in later)
+    fixed = {(u, v): label for u, v, label in inner.edges()}
     for n in range(len(graph), max_vertices + 1):
         if n % 2 == 1:
             continue
@@ -507,42 +499,18 @@ def witness_candidates(graph: EdgeLabelledGraph, desc: ClassDescriptor,
             yield graph
             continue
         taken = set(graph.vertices)
-        fresh = _fresh_names("w", extra, taken)
-        pair_ups = list(zip(unmatched, fresh))
+        fresh = [_fresh_name(f"w{i}", "+", taken) for i in range(1, extra + 1)]
         leftover = fresh[len(unmatched):]
-        fresh_edges = [(leftover[i], leftover[i + 1]) for i in range(0, len(leftover), 2)]
-        vertices = graph.vertices + tuple(fresh)
-        fixed_edges = list(graph.edges())
-        for u, w in pair_ups:
-            fixed_edges.append((u, w, delta))
-            for v in graph.vertices:
-                if v != u:
-                    fixed_edges.append((w, v, delta - graph.dist(u, v)))
-        for i, (u1, w1) in enumerate(pair_ups):
-            for u2, w2 in pair_ups[i + 1:]:
-                fixed_edges.append((w1, w2, graph.dist(u1, u2)))
-        for a, b in fresh_edges:
-            fixed_edges.append((a, b, delta))
-        skeleton = EdgeLabelledGraph(vertices, delta, fixed_edges)
-        matching = delta_matching(skeleton)
-        reps = [x for x, _ in matching.edges]
-        fixed = {}
-        domains = {}
-        for i, u in enumerate(reps):
-            for v in reps[i + 1:]:
-                label = skeleton.dist(u, v)
-                if label is None:
-                    domains[u, v] = range(1, delta)
-                else:
-                    fixed[u, v] = label
+        pairs = list(base_matching.edges) + list(zip(unmatched, fresh)) + \
+            list(zip(leftover[::2], leftover[1::2]))
+        reps = inner.vertices + tuple(leftover[::2])
+        domains = {(u, v): range(1, delta) for i, u in enumerate(reps)
+                   for v in reps[i + 1:] if (u, v) not in fixed}
         for labels in solve_labels(reps, fixed, domains, gdesc):
-            edges = list(skeleton.edges())
-            for u, v in domains:
-                b = labels[u, v]
-                mu, mv = matching.mate(u), matching.mate(v)
-                edges += [(u, v, b), (mu, mv, b), (u, mv, delta - b), (mu, v, delta - b)]
-            candidate = EdgeLabelledGraph(vertices, delta, edges)
-            if candidate.is_complete() and is_member(candidate, desc):
+            candidate = EdgeLabelledGraph(
+                graph.vertices + tuple(fresh), delta,
+                _doubled_edges(pairs, ((u, v, a) for (u, v), a in labels.items()), delta))
+            if is_member(candidate, desc):
                 yield candidate
 
 

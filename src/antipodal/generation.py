@@ -15,13 +15,16 @@ from .errors import CompletionError, InputError
 from .membership import ClassDescriptor, is_member, unfold
 from .structures import EdgeLabelledGraph
 
+EDGE_PROB = 0.5  # chance that a folded pair is labelled before the completion
+MAX_ATTEMPTS = 200  # rejected attempts after which generation gives up
 
-def random_member(desc: ClassDescriptor, size: int, rng: random.Random,
-                  *, edge_prob: float = 0.5, max_attempts: int = 200
-                  ) -> EdgeLabelledGraph:
+
+def random_member(desc: ClassDescriptor, size: int, rng: random.Random) -> EdgeLabelledGraph:
     """Random member with a perfect matching on ``size`` vertices.
 
-    ``size`` must be even; the matching pairs ``p{i}`` with ``p{i}'``.
+    ``size`` must be even; the matching pairs ``p{i}`` with ``p{i}'``.  At
+    most :data:`MAX_ATTEMPTS` attempts are made, each labelling a folded pair
+    with chance :data:`EDGE_PROB`.
     """
     if size % 2:
         raise InputError("members with a perfect matching have an even size")
@@ -30,11 +33,11 @@ def random_member(desc: ClassDescriptor, size: int, rng: random.Random,
     m = size // 2
     names = tuple(f"p{i}" for i in range(1, m + 1))
     gdesc = desc.folded()
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         edges = []
         for i in range(m):
             for j in range(i + 1, m):
-                if rng.random() < edge_prob:
+                if rng.random() < EDGE_PROB:
                     edges.append((names[i], names[j], rng.randint(1, desc.delta - 1)))
         folded = EdgeLabelledGraph(names, desc.delta - 1, edges)
         domains = {}
@@ -53,4 +56,4 @@ def random_member(desc: ClassDescriptor, size: int, rng: random.Random,
             continue
         return unfold(complete, desc)
     raise CompletionError(
-        f"no member found in {max_attempts} attempts for size {size}")
+        f"no member found in {MAX_ATTEMPTS} attempts for size {size}")

@@ -8,6 +8,12 @@ vertex to a mated pair always sum to ``delta``.  Selecting one vertex per
 mated pair lands in a companion family of diameter ``delta - 1`` described by
 a five-parameter descriptor; :func:`fold` and :func:`unfold` move between the
 two pictures.
+
+An antipodal graph is fixed by its fold: the labels between the
+representatives of mated pairs give every other label.  :func:`_doubled_edges`
+is the one place that law builds labels; :func:`unfold`,
+:func:`antipodal_closure`, ``pad_bipartition``, ``witness_candidates`` and
+``antipodal_complete`` all call it.
 """
 
 from __future__ import annotations
@@ -317,10 +323,35 @@ def parity_parts(graph: EdgeLabelledGraph) -> tuple[frozenset, frozenset]:
     return frozenset(part1), frozenset(part2)
 
 
-def _fresh_name(base: Vertex, taken: set) -> str:
-    name = f"{base}*"
+def _doubled_edges(pairs, edges, delta: int) -> list[tuple[Vertex, Vertex, int]]:
+    """Every label of the antipodal graph that the mated ``pairs`` span.
+
+    ``pairs`` lists each mated pair ``(x, x')`` with its representative
+    ``x`` first; ``edges`` holds labels ``(x, y, a)`` between
+    representatives.  The law gives ``d(x, x') = delta`` and, for each such
+    label, ``d(x', y') = a`` and ``d(x, y') = d(x', y) = delta - a``.  A pair
+    of representatives without a label leaves its four pairs unlabelled.
+
+    Callers may pass labels their input already holds; regenerating them is
+    exact.  In a member, ``d(x, w) + d(x', w) >= delta`` by the triangle
+    inequality and ``<= delta`` because the perimeter is at most
+    ``2 * delta``, so every label at ``x'`` is the ``delta``-complement of the
+    one at ``x``.  A partial graph that passes the antipodal-sum
+    precondition of ``antipodal_complete`` has the same sums by assumption.
+    """
+    mate = dict(pairs)
+    out = [(x, y, delta) for x, y in pairs]
+    for x, y, a in edges:
+        out += [(x, y, a), (mate[x], mate[y], a), (x, mate[y], delta - a),
+                (mate[x], y, delta - a)]
+    return out
+
+
+def _fresh_name(name: str, pad: str, taken: set) -> str:
+    """``name``, with ``pad`` appended until ``taken`` lacks it; ``taken`` then holds it."""
     while name in taken:
-        name += "*"
+        name += pad
+    taken.add(name)
     return name
 
 
@@ -332,6 +363,8 @@ def antipodal_closure(graph: EdgeLabelledGraph, desc: ClassDescriptor
     ``d(u*, w) = delta - d(u, w)``; distances between two new mates equal the
     distances between their originals.  The extension is unique, so the
     operation is idempotent, and the result is verified to stay a member.
+    The labels come from :func:`_doubled_edges` over the representatives,
+    the canonical ones of the matched pairs and the unmatched vertices.
     """
     if not is_member(graph, desc):
         raise InputError("antipodal closure requires a class member")
@@ -339,24 +372,11 @@ def antipodal_closure(graph: EdgeLabelledGraph, desc: ClassDescriptor
     unmatched = [v for v in graph.vertices if v not in matching.covered()]
     if not unmatched:
         return graph, delta_matching(graph, desc)
-    delta = desc.delta
     taken = set(graph.vertices)
-    mates: dict = {}
-    for u in unmatched:
-        name = _fresh_name(u, taken)
-        taken.add(name)
-        mates[u] = name
-    new_vertices = graph.vertices + tuple(mates[u] for u in unmatched)
-    edges = list(graph.edges())
-    for u in unmatched:
-        edges.append((u, mates[u], delta))
-        for w in graph.vertices:
-            if w != u:
-                edges.append((mates[u], w, delta - graph.dist(u, w)))
-    for i, u in enumerate(unmatched):
-        for v in unmatched[i + 1:]:
-            edges.append((mates[u], mates[v], graph.dist(u, v)))
-    closed = EdgeLabelledGraph(new_vertices, delta, edges)
+    pairs = list(matching.edges) + [(u, _fresh_name(f"{u}*", "*", taken)) for u in unmatched]
+    reps = graph.induced(x for x, _ in pairs)
+    closed = EdgeLabelledGraph(graph.vertices + tuple(y for _, y in pairs[matching.m:]),
+                               desc.delta, _doubled_edges(pairs, reps.edges(), desc.delta))
     if not is_member(closed, desc):
         raise InternalError("internal: antipodal closure left the class")
     return closed, delta_matching(closed, desc, require_perfect=True)
@@ -408,24 +428,10 @@ def unfold(folded: EdgeLabelledGraph, desc: ClassDescriptor) -> EdgeLabelledGrap
     """
     if not is_member(folded, desc.folded()):
         raise InputError("unfold requires a member of the folded family")
-    delta = desc.delta
     taken = set(folded.vertices)
-    copies = {}
-    for v in folded.vertices:
-        name = f"{v}'"
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        copies[v] = name
-    vertices = folded.vertices + tuple(copies[v] for v in folded.vertices)
-    edges = [(u, v, l) for u, v, l in folded.edges()]
-    for v in folded.vertices:
-        edges.append((v, copies[v], delta))
-    for u, v, l in folded.edges():
-        edges.append((u, copies[v], delta - l))
-        edges.append((v, copies[u], delta - l))
-        edges.append((copies[u], copies[v], l))
-    doubled = EdgeLabelledGraph(vertices, delta, edges)
+    pairs = [(v, _fresh_name(f"{v}'", "'", taken)) for v in folded.vertices]
+    doubled = EdgeLabelledGraph(folded.vertices + tuple(y for _, y in pairs), desc.delta,
+                                _doubled_edges(pairs, folded.edges(), desc.delta))
     if not is_member(doubled, desc):
         raise InternalError("internal: unfold left the class")
     return doubled

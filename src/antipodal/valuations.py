@@ -21,8 +21,8 @@ from typing import Iterable, Mapping
 
 from .completion import OrientationSet, _label_side_ok, _orientation_args
 from .errors import CompletionError, InputError, InternalError
-from .membership import (ClassDescriptor, Variant, delta_matching, is_member,
-                         parity_parts)
+from .membership import (ClassDescriptor, Variant, _doubled_edges, delta_matching,
+                         is_member, parity_parts)
 from .structures import EdgeLabelledGraph, Vertex
 
 
@@ -514,7 +514,8 @@ def pad_bipartition(graph: EdgeLabelledGraph, desc: ClassDescriptor) -> EdgeLabe
 
     New mates are joined to the rest at canonical near-half distances of the
     right parity and the result is verified to stay a member; balanced inputs
-    come back unchanged.
+    come back unchanged.  The labels come from
+    :func:`~antipodal.membership._doubled_edges` over the representatives.
     """
     if desc.variant is not Variant.EVEN_BIPARTITE:
         raise InputError("padding applies to even-bipartite classes only")
@@ -542,22 +543,14 @@ def pad_bipartition(graph: EdgeLabelledGraph, desc: ClassDescriptor) -> EdgeLabe
         taken.update((a, b))
         new_pairs.append((a, b))
     vertices = graph.vertices + tuple(v for pair in new_pairs for v in pair)
-    edges = list(graph.edges())
-    for a, b in new_pairs:
-        edges.append((a, b, delta))
-        for x, y in matching.edges:
-            value = even_value if x in thin_part else odd_value
-            edges.append((a, x, value))
-            edges.append((a, y, delta - value))
-            edges.append((b, x, delta - value))
-            edges.append((b, y, value))
-    for s, (a1, b1) in enumerate(new_pairs):
-        for a2, b2 in new_pairs[s + 1:]:
-            edges.append((a1, a2, even_value))
-            edges.append((a1, b2, delta - even_value))
-            edges.append((b1, a2, delta - even_value))
-            edges.append((b1, b2, even_value))
-    padded = EdgeLabelledGraph(vertices, delta, edges)
+    reps = graph.induced(x for x, _ in matching.edges)
+    edges = list(reps.edges())
+    for s, (a, _) in enumerate(new_pairs):
+        edges += [(a, x, even_value if x in thin_part else odd_value)
+                  for x, _ in matching.edges]
+        edges += [(a, a2, even_value) for a2, _ in new_pairs[s + 1:]]
+    padded = EdgeLabelledGraph(
+        vertices, delta, _doubled_edges(list(matching.edges) + new_pairs, edges, delta))
     if not is_member(padded, desc):
         raise CompletionError("padding left the class; no extension found")
     check = delta_matching(padded, desc, require_perfect=True)

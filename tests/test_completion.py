@@ -13,7 +13,7 @@ from antipodal import (Automorphism, ClassDescriptor, CompletionError,
                        forbidden_cycle_oracle, is_completion_of, is_member,
                        local_finiteness_bound, shortest_path_completion)
 
-from antipodal.completion import (_canonical_cycles, _f_preserving_maps,
+from antipodal.completion import (CYCLE_BOUND, _canonical_cycles, _f_preserving_maps,
                                   _first_forbidden_cycle, _folded_cycles,
                                   solve_labels)
 from antipodal.fileformat import read_structure_file
@@ -41,9 +41,15 @@ class TestShortestPathCompletion:
         assert sorted(err.value.cycle.labels) == [1, 1, 5]
 
     def test_disconnected_raises(self):
-        g = graph("abcd", 3, [("a", "b", 1), ("c", "d", 1)])
-        with pytest.raises(InputError, match="disconnected"):
-            shortest_path_completion(g)
+        for edges, count in [
+                ([("a", "b", 1), ("c", "d", 1)], 2),
+                ([("a", "c", 1)], 3),
+                # counted before the non-metric triangle on a, b, c is found
+                ([("a", "b", 1), ("b", "c", 1), ("a", "c", 3)], 2)]:
+            with pytest.raises(InputError) as err:
+                shortest_path_completion(graph("abcd", 3, edges))
+            assert str(err.value) == \
+                f"graph is disconnected ({count} components); complete per component"
 
     def test_bound_grows_when_needed(self):
         g = graph("abc", 3, [("a", "b", 3), ("b", "c", 3)])
@@ -421,6 +427,37 @@ class TestForbiddenCyclePrecondition:
                            f"forbidden cycle {want[0]} on {want[1]}"), (partial, desc)
             outcomes.add(want and len(want[0]))
         assert {None, 3, 4} <= outcomes
+
+
+    def test_complete_first_matches_precondition_first(self):
+        # the seeded inputs of the test above; the whole outcome must agree
+        # with checking the forbidden-cycle precondition before the search
+        rng = random.Random(6)
+        outcomes = set()
+        for trial in range(120):
+            desc = ClassDescriptor(*self.CLASSES[trial % len(self.CLASSES)])
+            g = random_folded(rng, rng.randint(3, 5), desc.delta - 1,
+                              rng.choice((0.4, 0.7)))
+            partial, f, orientation = doubled(g, desc, rng)
+            cyc = _first_forbidden_cycle(g, desc.folded(), CYCLE_BOUND)
+            if cyc is not None:
+                want = ("PreconditionError", "forbidden-cycle: folded image contains "
+                        f"the forbidden cycle {cyc.labels} on {cyc.vertices}")
+            else:
+                want = completion_outcome(partial, f, desc, orientation)
+            assert completion_outcome(partial, f, desc, orientation) == want, (partial, desc)
+            outcomes.add(want[0])
+        assert outcomes == {"PreconditionError", "CompletionError",
+                            "CompletionNotEquivariant", "EdgeLabelledGraph"}
+
+
+def completion_outcome(partial, f, desc, orientation):
+    """``(type name, message or completed graph)`` of one completion call."""
+    try:
+        completed = antipodal_complete(partial, f, desc, orientation, verify_limit=10)
+    except (CompletionError, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
+    return type(completed).__name__, completed
 
 
 class TestEquivarianceAudit:

@@ -5,6 +5,11 @@ names on purpose) must use each name it imports.  A name counts as used when
 it is loaded anywhere in the module, including inside an annotation written
 as a string; a name that appears only in a docstring or another string is
 not used.
+
+Every private function or class defined at the top level of a package
+module must be referenced somewhere in the package outside its own
+definition: a helper nothing calls is dead code.  A reference is a name or
+an attribute with the helper's name; a mention in a docstring is not one.
 """
 
 import ast
@@ -49,6 +54,30 @@ def _annotations(tree):
                 yield node.returns
 
 
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each private top-level helper no code references.
+
+    ``sources`` maps module names to their source text.  The references are
+    looked for in every module, skipping the helper's own definition.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith("__") and name.endswith("__"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(id(n) not in inside and
+                       (isinstance(n, ast.Name) and n.id == name or
+                        isinstance(n, ast.Attribute) and n.attr == name)
+                       for other in trees.values() for n in ast.walk(other)):
+                dead.append(f"{module}.{name}")
+    return dead
+
+
 def test_package_modules_are_found():
     assert len(MODULES) >= 8
 
@@ -67,3 +96,29 @@ def test_detector_sees_unused_and_used_names():
               "    'os'\n"
               "    return sys.argv\n")
     assert unused_imports(source) == ["os", "xml"]
+
+
+def test_no_dead_private_helpers():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_helpers(sources) == []
+
+
+def test_detector_sees_dead_and_live_helpers():
+    sources = {
+        "a": ("def _dead(n):\n"
+              "    return _dead(n - 1) if n else 0\n"
+              "def _called():\n"
+              "    '_dead'\n"
+              "class _Imported:\n"
+              "    pass\n"
+              "def _by_attribute():\n"
+              "    pass\n"
+              "def __getattr__(name):\n"
+              "    return _called()\n"
+              "def public():\n"
+              "    pass\n"),
+        "b": ("from a import _Imported\n"
+              "import a\n"
+              "x = [_Imported, a._by_attribute]\n"),
+    }
+    assert dead_helpers(sources) == ["a._dead"]

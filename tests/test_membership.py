@@ -2,13 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from antipodal import (ClassDescriptor, CompletionError, GeneralClassDescriptor,
-                       InputError, Variant, antipodal_closure, automorphisms,
-                       delta_matching, find_forbidden_triple, fold,
+from antipodal import (ClassDescriptor, CompletionError, EdgeLabelledGraph,
+                       GeneralClassDescriptor, InputError, Variant, antipodal_closure,
+                       automorphisms, delta_matching, find_forbidden_triple, fold,
                        is_forbidden_triangle, is_member, parity_parts, unfold)
 from antipodal.generation import random_member
-from antipodal.membership import _suspect_pairs
+from antipodal.membership import _doubled_edges, _suspect_pairs
 
 from conftest import (all_complete_graphs, brute_first_forbidden_triple, graph,
                       matched_members)
@@ -250,6 +252,57 @@ class TestAntipodalClosure:
         bad = graph("abc", 3, [("a", "b", 1), ("a", "c", 1), ("b", "c", 3)])
         with pytest.raises(InputError):
             antipodal_closure(bad, desc31)
+
+
+class TestDoubledEdges:
+    @pytest.mark.parametrize("params", [(3, 1), (5, 2), (4, 4)])
+    def test_rebuilds_every_matched_member(self, params):
+        # every member with a perfect matching on at most six vertices
+        desc = ClassDescriptor(*params)
+        sizes = []
+        for n in (2, 4, 6):
+            members = list(matched_members("abcdef"[:n], desc))
+            for g in members:
+                edges = _doubled_edges(delta_matching(g).edges, fold(g).edges(), desc.delta)
+                assert EdgeLabelledGraph(g.vertices, desc.delta, edges) == g, g
+            sizes.append(len(members))
+        assert all(sizes) and sizes[2] > 30
+
+    def test_unlabelled_representatives_leave_four_pairs_open(self):
+        edges = _doubled_edges([("a", "b"), ("c", "d"), ("e", "f")], [("a", "c", 1)], 3)
+        g = EdgeLabelledGraph("abcdef", 3, edges)
+        assert g.undefined_pairs() == [("a", "e"), ("a", "f"), ("b", "e"), ("b", "f"),
+                                       ("c", "e"), ("c", "f"), ("d", "e"), ("d", "f")]
+        assert [g.dist(*p) for p in (("a", "c"), ("b", "d"), ("a", "d"), ("b", "c"))] == \
+            [1, 1, 2, 2]
+
+
+seeded_folded_members = st.builds(
+    lambda params, m, seed: (ClassDescriptor(*params),
+                             fold(random_member(ClassDescriptor(*params), 2 * m,
+                                                random.Random(seed)))),
+    st.sampled_from(PARAMETERS), st.integers(1, 6), st.integers(0, 199))
+
+
+class TestDoublingProperties:
+    @given(seeded_folded_members)
+    @settings(max_examples=60, deadline=None)
+    def test_fold_undoes_unfold(self, case):
+        desc, folded = case
+        assert fold(unfold(folded, desc)) == folded
+
+    @given(seeded_folded_members, st.integers(0, 2 ** 12 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_closure_is_idempotent(self, case, drop):
+        # drop the vertices of a seeded subset; the closure mates the rest again
+        desc, folded = case
+        g = unfold(folded, desc)
+        part = g.induced(v for i, v in enumerate(g.vertices) if not drop >> i & 1)
+        closed, matching = antipodal_closure(part, desc)
+        assert antipodal_closure(closed, desc) == (closed, matching)
+        assert closed.induced(part.vertices) == part
+        touched = {delta_matching(g).index_of(v) for v in part.vertices}
+        assert len(closed) == 2 * len(touched) == 2 * matching.m
 
 
 class TestFoldUnfold:
