@@ -34,8 +34,9 @@ from typing import Iterator
 from .completion import (OrientationSet, _backtrack, _label_side_ok, _orientation_args,
                          solve_labels)
 from .errors import InputError, InternalError, SizeLimitError
-from .membership import (ClassDescriptor, Variant, _doubled_edges, _fresh_name,
-                         antipodal_closure, delta_matching, is_member, parity_parts)
+from .membership import (ClassDescriptor, DeltaMatching, Variant, _doubled_edges,
+                         _fresh_name, antipodal_closure, delta_matching, is_member,
+                         parity_parts)
 from .structures import (Automorphism, EdgeLabelledGraph, PartialMap,
                          automorphisms, partial_automorphisms, vertex_maps)
 from .valuations import (FlipSet, GammaLStructure, IndexPermutation,
@@ -437,14 +438,23 @@ def verify_eppa_witness(small, big, mode: str = "plain", *,
     _check_gamma_substructure(small, big)
     for gpa in gamma_partial_automorphisms(small, lang_partition):
         checked += 1
-        fits = _structure_fits(big, gpa.lang)
-        ext = None
-        if all(fits(s, t, {}) for s, t in gpa.vmap.pairs):
-            ext = next(vertex_maps(big.base, seed=gpa.vmap.pairs, fits=fits), None)
+        ext = _gamma_extension(big, gpa)
         if ext is None:
             return WitnessReport(False, mode, checked, counterexample=gpa)
         table[gpa] = GammaPartialAutomorphism(gpa.lang, Automorphism(ext))
     return WitnessReport(True, mode, checked, extension_table=table)
+
+
+def _gamma_extension(big: GammaLStructure, gpa: GammaPartialAutomorphism):
+    """The least vertex map of ``big`` extending ``gpa`` with its language part.
+
+    ``None`` when there is none: the witness audit's test of one partial
+    automorphism, also used to try kept counterexamples in :func:`pipeline`.
+    """
+    fits = _structure_fits(big, gpa.lang)
+    if not all(fits(s, t, {}) for s, t in gpa.vmap.pairs):
+        return None
+    return next(vertex_maps(big.base, seed=gpa.vmap.pairs, fits=fits), None)
 
 
 def verify_irreducible_faithful(small: EdgeLabelledGraph, big: EdgeLabelledGraph,
@@ -576,81 +586,128 @@ def expand_witness(big: EdgeLabelledGraph, small_expansion: GammaLStructure,
       the small expansion's index bipartition in one vertex part and every
       index of the other side in the other part (a side no small mark uses
       lies opposite the one that is used), which is the part condition.
+
+    The work that does not depend on ``big`` is done by
+    :class:`_SmallExpansion`, which :func:`pipeline` builds once per search.
     """
-    _orientation_args(desc, orientation)
-    if desc.delta != big.delta:
-        raise InputError(f"descriptor diameter {desc.delta} != graph delta {big.delta}")
-    # without ``desc`` no index bipartition is built, which would need the
-    # parity parts of ``big`` before its membership is known
-    matching = delta_matching(big, require_perfect=True)
-    small = small_expansion.base
-    for v in small.vertices:
-        if small_expansion.mark(v) is None:
-            raise InputError("the small expansion must be fully marked")
-    for x, y in matching.edges:
-        if (x in small) != (y in small):
-            inside, outside = (x, y) if x in small else (y, x)
-            raise InputError(f"long edge ({x!r}, {y!r}) pairs {inside!r} of the small "
-                             f"expansion with {outside!r}, which is outside it")
-        if x in small and (small_expansion.mate(x), small_expansion.mate(y)) != (y, x):
-            raise InputError(f"mates of ({x!r}, {y!r}) differ between the small "
-                             "expansion and the witness")
-    _check_substructure(small, big)
+    small = _SmallExpansion(small_expansion, desc, orientation)
+    matching = small.witness_matching(big)
     if not is_member(big, desc):
         return None
-    rows = big._rows
+    return small.expand_member(big, matching)
 
-    def clashes(x: int, mark: Mark, others) -> bool:
-        """Whether ``mark`` on vertex position ``x`` disagrees with a placed mark."""
-        i, chi = mark
-        row = rows[x]
-        return any(not _label_side_ok(row[v], chi.bits[j - 1] ^ psi.bits[i - 1],
-                                      desc, orientation)
-                   for v, (j, psi) in others)
 
-    # Outside the bipartite case part1 and d_one are empty, so every index is
-    # on the side outside d_one, tied to the part outside part1: allowed for all.
-    part1 = parity_parts(big)[0] if desc.variant is Variant.EVEN_BIPARTITE else frozenset()
-    d_one = delta_matching(small, desc, require_perfect=True).part_one or frozenset()
-    place: dict[bool, bool] = {}  # index side (in d_one) -> its vertices lie in part1
-    placed = []  # (vertex position, mark) of each small representative
-    for x, y in matching.edges:
-        if x in small:
-            i, chi = small_expansion.mark(x)
-            if small_expansion.mark(y) != (i, chi.complement()) or \
-                    place.setdefault(i in d_one, x in part1) != (x in part1):
-                return None
-            placed.append((big.index(x), (i, chi)))
-    for side in (True, False):  # a side no small mark uses lies opposite the other
-        place.setdefault(side, not place.get(not side))
-    if place[True] == place[False] or \
-            any(clashes(x, mark, placed[:k]) for k, (x, mark) in enumerate(placed)):
-        return None
-    m = small_expansion.mark_size or 0
-    allowed = {in_one: [i for i in range(1, m + 1) if place[i in d_one] == in_one]
-               for in_one in (True, False)}
-    valuations = [ValuationFunction(bits) for bits in itertools.product((0, 1), repeat=m)]
-    todo = [(x, y) for x, y in matching.edges if x not in small]
-    positions = [big.index(x) for x, _ in todo]
-    domains = {pos: [(i, chi) for i in allowed[x in part1] for chi in valuations
-                     if not clashes(positions[pos], (i, chi), placed)]
-               for pos, (x, _) in enumerate(todo)}
-    chosen = [None] * len(todo)  # (vertex position, mark) per decided edge
+class _SmallExpansion:
+    """The part of :func:`expand_witness` that is the same for every witness.
 
-    def rejects(pos, mark) -> bool:
-        return clashes(positions[pos], mark, chosen[:pos])
+    Built once per small expansion: the orientation check, its marks, their
+    size and the ``2^m`` valuations of every domain; the index bipartition
+    of its matching is taken at the first witness that reaches the marks.
+    The checks still raise in the order :func:`expand_witness` documents:
+    whether the small expansion is fully marked is decided here but raised
+    after ``big``'s own checks, and the index bipartition is taken only
+    after ``big`` passed them, where the small expansion is known to be a
+    perfectly matched substructure of it.
+    """
 
-    def record(pos, mark):
-        chosen[pos] = (positions[pos], mark)
+    def __init__(self, expansion: GammaLStructure, desc: ClassDescriptor,
+                 orientation: OrientationSet | None):
+        _orientation_args(desc, orientation)
+        self.expansion, self.desc, self.orientation = expansion, desc, orientation
+        self.base = expansion.base
+        self.fully_marked = expansion.fully_marked()
+        self.marks = {v: expansion.mark(v) for v in self.base.vertices}
+        m = expansion.mark_size or 0
+        self.indices = range(1, m + 1)
+        self.valuations = [ValuationFunction(bits)
+                           for bits in itertools.product((0, 1), repeat=m)]
+        self.d_one = None  # indices of the matched edges in the first parity part
 
-    leaf = next(_backtrack(domains, rejects, record), None)
-    if leaf is None:
-        return None
-    marks = {v: small_expansion.mark(v) for v in small.vertices}
-    for (x, y), (i, chi) in zip(todo, leaf):
-        marks[x], marks[y] = (i, chi), (i, chi.complement())
-    return GammaLStructure(big, [e for x, y in matching.edges for e in ((x, y), (y, x))],
-                           marks)
+    def witness_matching(self, big: EdgeLabelledGraph) -> DeltaMatching:
+        """``big``'s matching, after the input checks of :func:`expand_witness`."""
+        small, expansion = self.base, self.expansion
+        delta = self.desc.delta
+        if delta != big.delta:
+            raise InputError(f"descriptor diameter {delta} != graph delta {big.delta}")
+        # without ``desc`` no index bipartition is built, which would need the
+        # parity parts of ``big`` before its membership is known
+        matching = delta_matching(big, require_perfect=True)
+        if not self.fully_marked:
+            raise InputError("the small expansion must be fully marked")
+        for x, y in matching.edges:
+            if (x in small) != (y in small):
+                inside, outside = (x, y) if x in small else (y, x)
+                raise InputError(f"long edge ({x!r}, {y!r}) pairs {inside!r} of the small "
+                                 f"expansion with {outside!r}, which is outside it")
+            if x in small and (expansion.mate(x), expansion.mate(y)) != (y, x):
+                raise InputError(f"mates of ({x!r}, {y!r}) differ between the small "
+                                 "expansion and the witness")
+        _check_substructure(small, big)
+        return matching
+
+    def expand_member(self, big: EdgeLabelledGraph, matching: DeltaMatching
+                      ) -> GammaLStructure | None:
+        """The marks search of :func:`expand_witness` on a checked member ``big``.
+
+        ``matching`` is :meth:`witness_matching` of ``big``.  Membership is
+        not checked again: :func:`expand_witness` checks it, and every
+        candidate of :func:`witness_candidates` is a member.
+        """
+        desc, orientation, small, marks = self.desc, self.orientation, self.base, self.marks
+        rows = big._rows
+
+        def clashes(x: int, mark: Mark, others) -> bool:
+            """Whether ``mark`` on vertex position ``x`` disagrees with a placed mark."""
+            i, chi = mark
+            row = rows[x]
+            return any(not _label_side_ok(row[v], chi.bits[j - 1] ^ psi.bits[i - 1],
+                                          desc, orientation)
+                       for v, (j, psi) in others)
+
+        if self.d_one is None:
+            self.d_one = delta_matching(small, desc, require_perfect=True).part_one or \
+                frozenset()
+        d_one = self.d_one
+        # Outside the bipartite case part1 and d_one are empty, so every index is
+        # on the side outside d_one, tied to the part outside part1: allowed for all.
+        part1 = parity_parts(big)[0] if desc.variant is Variant.EVEN_BIPARTITE else frozenset()
+        place: dict[bool, bool] = {}  # index side (in d_one) -> its vertices lie in part1
+        placed = []  # (vertex position, mark) of each small representative
+        for x, y in matching.edges:
+            if x in small:
+                i, chi = marks[x]
+                if marks[y] != (i, chi.complement()) or \
+                        place.setdefault(i in d_one, x in part1) != (x in part1):
+                    return None
+                placed.append((big.index(x), (i, chi)))
+        for side in (True, False):  # a side no small mark uses lies opposite the other
+            place.setdefault(side, not place.get(not side))
+        if place[True] == place[False] or \
+                any(clashes(x, mark, placed[:k]) for k, (x, mark) in enumerate(placed)):
+            return None
+        allowed = {in_one: [i for i in self.indices if place[i in d_one] == in_one]
+                   for in_one in (True, False)}
+        todo = [(x, y) for x, y in matching.edges if x not in small]
+        positions = [big.index(x) for x, _ in todo]
+        domains = {pos: [(i, chi) for i in allowed[x in part1] for chi in self.valuations
+                         if not clashes(positions[pos], (i, chi), placed)]
+                   for pos, (x, _) in enumerate(todo)}
+        chosen = [None] * len(todo)  # (vertex position, mark) per decided edge
+
+        def rejects(pos, mark) -> bool:
+            return clashes(positions[pos], mark, chosen[:pos])
+
+        def record(pos, mark):
+            chosen[pos] = (positions[pos], mark)
+
+        leaf = next(_backtrack(domains, rejects, record), None)
+        if leaf is None:
+            return None
+        out = dict(marks)
+        for (x, y), (i, chi) in zip(todo, leaf):
+            out[x], out[y] = (i, chi), (i, chi.complement())
+        return GammaLStructure(big, [e for x, y in matching.edges for e in ((x, y), (y, x))],
+                               out)
 
 
 @dataclass
@@ -676,11 +733,41 @@ def pipeline(graph: EdgeLabelledGraph, desc: ClassDescriptor,
     ``witness_source`` is ``"search"`` or a user-supplied marked witness.  On
     success the returned witness is a member containing the closed input, its
     marked version passes the language-level audit, and the reduct passes the
-    plain audit.
+    plain audit.  A search refuses a member input of more than
+    ``max_vertices`` vertices with :class:`SizeLimitError`, as
+    :func:`search_witness` does; the closure's own checks of the input come
+    first.
+
+    A search tries the candidates of :func:`witness_candidates` in order and
+    returns the first whose expansion (:func:`expand_witness`) passes both
+    audits.  The small expansion's part of the expansion is prepared once
+    (:class:`_SmallExpansion`), and membership is not checked again, since
+    every candidate is a member.  The counterexample of each rejecting
+    Gamma_L audit is kept, and a later candidate on which a kept one has no
+    extension (:func:`_gamma_extension`, the audit's own test) is rejected
+    without its audit.  A candidate that no kept one refutes gets both full
+    audits, so the answer and its reports are the ones the full audits of
+    every candidate give.  That is sound:
+
+    - The input expansion and ``lang_partition`` are fixed for the whole
+      call.  So a kept counterexample is a Gamma_L partial automorphism of
+      the same small structure that the audit of every candidate
+      enumerates, and the full audit of a candidate it refutes would fail
+      too, at it or earlier.
+    - Every exception the full audit can raise depends only on the small
+      expansion and the bounds: ``max_domain``, ``max_witness``, and
+      :data:`FREE_FLIP_BOUND` on the empty map, which is checked first.  So
+      such an exception is raised at the first audited candidate, before
+      any counterexample is kept.
+    - The kept counterexamples live in a list local to the call; no state
+      outlives it.
     """
     if desc.variant is Variant.EVEN_BIPARTITE and orientation is None:
         orientation = OrientationSet.default(desc.delta)
     closed, matching = antipodal_closure(graph, desc)
+    if witness_source == "search" and len(graph) > max_vertices:
+        raise SizeLimitError(
+            f"witness search is bounded at {max_vertices} vertices", max_vertices)
     if desc.variant is Variant.EVEN_BIPARTITE:
         closed = pad_bipartition(closed, desc)
         matching = delta_matching(closed, desc, require_perfect=True)
@@ -721,14 +808,18 @@ def pipeline(graph: EdgeLabelledGraph, desc: ClassDescriptor,
 
     if witness_source != "search":
         raise InputError("witness source must be 'search' or a marked structure")
+    small = _SmallExpansion(expansion, desc, orientation)
+    refuters: list[GammaPartialAutomorphism] = []  # counterexamples of rejected candidates
     for candidate in witness_candidates(closed, desc, max_vertices):
-        cand_expansion = expand_witness(candidate, expansion, desc, orientation)
-        if cand_expansion is None:
+        cand_expansion = small.expand_member(candidate, small.witness_matching(candidate))
+        if cand_expansion is None or \
+                any(_gamma_extension(cand_expansion, gpa) is None for gpa in refuters):
             continue
         gamma_report = verify_eppa_witness(
             expansion, cand_expansion, "gamma", max_domain=len(closed),
             max_witness=max_vertices, lang_partition=lang_partition)
         if not gamma_report.ok:
+            refuters.append(gamma_report.counterexample)
             continue
         plain_report = verify_eppa_witness(
             closed, candidate, "plain", max_domain=len(closed),

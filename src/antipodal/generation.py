@@ -22,10 +22,12 @@ MAX_ATTEMPTS = 200  # rejected attempts after which generation gives up
 def random_member(desc: ClassDescriptor, size: int, rng: random.Random) -> EdgeLabelledGraph:
     """Random member with a perfect matching on ``size`` vertices.
 
-    ``size`` must be even; the matching pairs ``p{i}`` with ``p{i}'``.  At
-    most :data:`MAX_ATTEMPTS` attempts are made, each labelling a folded pair
-    with chance :data:`EDGE_PROB`.
+    ``size`` must be even and not negative; the matching pairs ``p{i}``
+    with ``p{i}'``.  At most :data:`MAX_ATTEMPTS` attempts are made, each
+    labelling a folded pair with chance :data:`EDGE_PROB`.
     """
+    if size < 0:
+        raise InputError(f"member size must not be negative, got {size}")
     if size % 2:
         raise InputError("members with a perfect matching have an even size")
     if size == 0:

@@ -14,10 +14,14 @@ import random
 import pytest
 
 from antipodal import (Automorphism, ClassDescriptor, EdgeLabelledGraph,
-                       FlipSet, GammaLStructure, IndexPermutation,
-                       LanguagePermutation, PartialMap, ValuationFunction, Variant,
-                       delta_matching, is_forbidden_triangle,
-                       suitable_expansion_violations)
+                       FlipSet, GammaLStructure, GammaPartialAutomorphism,
+                       IndexPermutation, LanguagePermutation, OrientationSet,
+                       PartialMap, PipelineResult, ValuationFunction, Variant,
+                       WitnessReport, antipodal_closure, build_suitable_expansion,
+                       delta_matching, expand_witness, gamma_automorphisms,
+                       gamma_partial_automorphisms, is_forbidden_triangle,
+                       pad_bipartition, suitable_expansion_violations,
+                       verify_eppa_witness, witness_candidates)
 
 
 def graph(vertices, delta, edges=()):
@@ -363,3 +367,62 @@ def brute_labellings(verts, fixed: dict, domains: dict, gdesc) -> list[dict]:
                    for sides in triangles):
             out.append(chosen)
     return out
+
+
+def brute_gamma_audit(small, big, lang_partition=None) -> WitnessReport:
+    """Oracle: the Gamma_L witness audit by filtering the automorphisms of ``big``.
+
+    Every automorphism of ``big`` with its language part is listed once
+    (``gamma_automorphisms``).  Each partial automorphism of ``small``, in
+    ``gamma_partial_automorphisms`` order, extends when a listed one has the
+    same language part and contains its vertex map; the least such, by the
+    positions of the images in vertex order, goes in the table.  The first
+    one that does not extend is the counterexample.
+    """
+    vertices = big.vertices
+    auts = sorted(gamma_automorphisms(big, max_vertices=len(big)),
+                  key=lambda g: [big.index(g.vmap[v]) for v in vertices])
+    table, checked = {}, 0
+    for gpa in gamma_partial_automorphisms(small, lang_partition):
+        checked += 1
+        ext = next((g for g in auts
+                    if g.lang == gpa.lang and g.vmap.extends(gpa.vmap)), None)
+        if ext is None:
+            return WitnessReport(False, "gamma", checked, counterexample=gpa)
+        table[gpa] = GammaPartialAutomorphism(gpa.lang, ext.vmap)
+    return WitnessReport(True, "gamma", checked, extension_table=table)
+
+
+def brute_pipeline_search(graph: EdgeLabelledGraph, desc, max_vertices: int):
+    """Oracle: ``pipeline(graph, desc, "search", max_vertices=...)`` with no reuse.
+
+    The input is closed, padded and expanded as ``pipeline`` does.  Every
+    candidate of ``witness_candidates`` is expanded by the public
+    ``expand_witness`` and audited in full, by :func:`brute_gamma_audit`
+    and the plain ``verify_eppa_witness``; the first that passes both is
+    the witness.
+    """
+    orientation = lang_partition = None
+    closed, _ = antipodal_closure(graph, desc)
+    if desc.variant is Variant.EVEN_BIPARTITE:
+        orientation = OrientationSet.default(desc.delta)
+        closed = pad_bipartition(closed, desc)
+        matching = delta_matching(closed, desc, require_perfect=True)
+        lang_partition = (matching.part_one, matching.part_two)
+    expansion = build_suitable_expansion(closed, desc, orientation)
+    for candidate in witness_candidates(closed, desc, max_vertices):
+        cand_expansion = expand_witness(candidate, expansion, desc, orientation)
+        if cand_expansion is None:
+            continue
+        gamma_report = brute_gamma_audit(expansion, cand_expansion, lang_partition)
+        if not gamma_report.ok:
+            continue
+        plain_report = verify_eppa_witness(closed, candidate, "plain",
+                                           max_domain=len(closed), max_witness=max_vertices)
+        if plain_report.ok:
+            return PipelineResult(True, "done", "witness found and verified", closed,
+                                  expansion, candidate, cand_expansion,
+                                  gamma_report, plain_report)
+    return PipelineResult(False, "witness-search",
+                          f"no witness with at most {max_vertices} vertices",
+                          closed, expansion)

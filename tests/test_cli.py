@@ -277,6 +277,24 @@ class TestCommands:
         assert code == 3
         assert report_dict(text)["outcome"] == "no-witness-within-bound"
 
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_search_witness_refuses_a_bound_below_the_input(self, pipeline):
+        # both search paths refuse, instead of searching and finding nothing
+        code, text = invoke("search-witness", fixture("edge3.elg"), "--bound", "0",
+                            *(["--pipeline"] if pipeline else []))
+        assert code == 2
+        report = report_dict(text)
+        assert report["outcome"] == "input-error"
+        assert report["error"] == "witness search is bounded at 0 vertices"
+
+    def test_gen_refuses_a_negative_size(self):
+        code, text = invoke("gen", "--delta", "3", "--K", "1", "--size", "-4",
+                            "--seed", "1")
+        assert code == 2
+        report = report_dict(text)
+        assert report["outcome"] == "input-error"
+        assert report["error"] == "member size must not be negative, got -4"
+
     def test_gen_reproducible(self, tmp_path):
         out1, out2 = tmp_path / "a.elg", tmp_path / "b.elg"
         code1, text1 = invoke("gen", "--delta", "3", "--K", "1", "--size", "6",

@@ -16,9 +16,9 @@ from antipodal import (ClassDescriptor, FlipSet, GammaLStructure,
                        verify_irreducible_faithful, witness_candidates)
 from antipodal.generation import random_member
 
-from conftest import (brute_expand_witness, brute_gamma_vertex_maps,
-                      brute_language_parts, brute_partial_automorphisms, graph,
-                      matched_members, mated_extensions)
+from conftest import (brute_expand_witness, brute_gamma_audit, brute_gamma_vertex_maps,
+                      brute_language_parts, brute_partial_automorphisms,
+                      brute_pipeline_search, graph, matched_members, mated_extensions)
 
 
 def vf(bits):
@@ -472,3 +472,92 @@ class TestPipeline:
         assert result.ok
         assert len(result.base) == 4  # padding added one edge
         assert is_member(result.witness, desc)
+
+
+def doubled(delta: int, folded: dict):
+    """Antipodal doubling of folded labels: pair ``i`` is ``(x{i}, y{i})``.
+
+    ``d(x_i, y_i) = delta``; a folded label ``a`` on ``(i, j)`` gives
+    ``d(x_i, x_j) = d(y_i, y_j) = a`` and ``delta - a`` across.
+    """
+    m = 1 + max(j for _, j in folded)
+    edges = [(f"x{i}", f"y{i}", delta) for i in range(m)]
+    for (i, j), a in folded.items():
+        edges += [(f"x{i}", f"x{j}", a), (f"y{i}", f"y{j}", a),
+                  (f"x{i}", f"y{j}", delta - a), (f"y{i}", f"x{j}", delta - a)]
+    return graph([v for i in range(m) for v in (f"x{i}", f"y{i}")], delta, edges)
+
+
+# two matched pairs with one folded label a, in every class of the deep
+# searches, and the (3,1) and (4,4) three-pair inputs of the wide ones
+SEARCH_INPUTS = [(d, K, {(0, 1): a}) for d, K, a in [
+    (4, 4, 1), (5, 1, 2), (5, 2, 2), (6, 6, 3), (7, 2, 3), (7, 3, 3),
+    (4, 4, 2), (5, 2, 1), (6, 6, 5), (7, 2, 6), (7, 3, 1)]] + [
+    (3, 1, {(0, 1): 1, (0, 2): 2, (1, 2): 2}),
+    (4, 4, {(0, 1): 2, (0, 2): 1, (1, 2): 3})]
+
+
+def _summary(result) -> tuple:
+    """Everything a search result says, in comparable form."""
+    reports = tuple(None if r is None else
+                    (r.ok, r.checked, repr(r.counterexample), r.extension_table)
+                    for r in (result.gamma_report, result.plain_report))
+    return (result.ok, result.stage, result.detail, result.base, repr(result.expansion),
+            None if result.witness is None else tuple(result.witness.edges()),
+            repr(result.witness_expansion), reports)
+
+
+class TestPipelineAgainstExhaustiveSearch:
+    def test_search_matches_the_search_without_reuse(self):
+        # the kept counterexamples must neither reject a witness nor carry
+        # over from one call to the next, so the searches run one after the
+        # other; some find a witness after rejected candidates, some none
+        outcomes = set()
+        for delta, K, folded in SEARCH_INPUTS:
+            g, desc = doubled(delta, folded), ClassDescriptor(delta, K)
+            got = pipeline(g, desc, "search", max_vertices=8)
+            assert _summary(got) == _summary(brute_pipeline_search(g, desc, 8)), \
+                (delta, K, folded)
+            outcomes.add(got.stage)
+        assert outcomes == {"done", "witness-search"}
+
+    def test_audit_matches_the_filtered_automorphisms(self):
+        # the audit and the test of kept counterexamples are one helper; on
+        # the first candidates of every search it agrees with the oracle
+        for delta, K, folded in SEARCH_INPUTS:
+            desc = ClassDescriptor(delta, K)
+            first = pipeline(doubled(delta, folded), desc, "search", max_vertices=8)
+            closed, small = first.base, first.expansion
+            orientation, lang_partition = None, None
+            if desc.variant is Variant.EVEN_BIPARTITE:
+                orientation = OrientationSet.default(delta)
+                matching = delta_matching(closed, desc, require_perfect=True)
+                lang_partition = (matching.part_one, matching.part_two)
+            for candidate in itertools.islice(witness_candidates(closed, desc, 8), 20):
+                big = expand_witness(candidate, small, desc, orientation)
+                if big is None:
+                    continue
+                got = verify_eppa_witness(small, big, "gamma", max_domain=len(small),
+                                          lang_partition=lang_partition)
+                want = brute_gamma_audit(small, big, lang_partition)
+                assert (got.ok, got.checked, got.counterexample, got.extension_table) == \
+                    (want.ok, want.checked, want.counterexample, want.extension_table)
+
+    def test_audit_extends_the_map_itself(self):
+        # a, b, c carry one mark and their copies a2, b2, c2 its flip, so the
+        # identity and the swap of the copies keep every language part of the
+        # empty map; no automorphism sends a (the one vertex of its copy with
+        # two labels 1) to b, so a map between them is the counterexample
+        zero, one = vf((0,)), vf((1,))
+        edges = [(u, v, 2) for u in "abc" for v in ("a2", "b2", "c2")]
+        for suffix in ("", "2"):
+            a, b, c = (v + suffix for v in "abc")
+            edges += [(a, b, 1), (a, c, 1), (b, c, 2)]
+        big = GammaLStructure(graph(["a", "b", "c", "a2", "b2", "c2"], 2, edges), (),
+                              {v: (1, one if v.endswith("2") else zero)
+                               for v in ("a", "b", "c", "a2", "b2", "c2")})
+        small = big.induced("ab")
+        got = verify_eppa_witness(small, big, "gamma")
+        want = brute_gamma_audit(small, big)
+        assert not got.ok and len(got.counterexample.vmap) == 1
+        assert (got.checked, got.counterexample) == (want.checked, want.counterexample)

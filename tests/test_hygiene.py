@@ -10,6 +10,13 @@ Every private function or class defined at the top level of a package
 module must be referenced somewhere in the package outside its own
 definition: a helper nothing calls is dead code.  A reference is a name or
 an attribute with the helper's name; a mention in a docstring is not one.
+
+No package module may keep a cache across calls at its top level: a
+function decorated with, or a name bound to, ``functools.lru_cache`` or
+``functools.cache`` (however imported) fails, except the per-descriptor
+triangle table ``membership._suspect_pairs``.  Reuse inside one call (the
+counterexamples a witness search keeps) stays local to that call, so
+repeated calls, benchmark passes included, pay the same cost.
 """
 
 import ast
@@ -78,6 +85,48 @@ def dead_helpers(sources: dict[str, str]) -> list[str]:
     return dead
 
 
+CACHE_ALLOWED = ["membership._suspect_pairs"]
+CACHES = ("lru_cache", "cache")
+
+
+def top_level_caches(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each top-level function or name cached by ``functools``.
+
+    ``sources`` maps module names to their source text.  A function counts
+    when a decorator is ``lru_cache``/``cache`` (bare, called, through the
+    ``functools`` module or imported under any name); an assignment counts
+    when its value calls one of them.
+    """
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        modules, names = {"functools"}, set(CACHES)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(a.asname or a.name for a in node.names
+                               if a.name == "functools")
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names.update(a.asname or a.name for a in node.names if a.name in CACHES)
+
+        def is_cache(expr) -> bool:
+            while isinstance(expr, ast.Call):
+                expr = expr.func
+            return (isinstance(expr, ast.Name) and expr.id in names or
+                    isinstance(expr, ast.Attribute) and expr.attr in CACHES and
+                    isinstance(expr.value, ast.Name) and expr.value.id in modules)
+
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(is_cache(d) for d in node.decorator_list):
+                    found.append(f"{module}.{node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                if any(isinstance(n, ast.Call) and is_cache(n) for n in ast.walk(node.value)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found += [f"{module}.{n.id}" for t in targets for n in ast.walk(t)
+                              if isinstance(n, ast.Name)]
+    return found
+
+
 def test_package_modules_are_found():
     assert len(MODULES) >= 8
 
@@ -122,3 +171,36 @@ def test_detector_sees_dead_and_live_helpers():
               "x = [_Imported, a._by_attribute]\n"),
     }
     assert dead_helpers(sources) == ["a._dead"]
+
+
+def test_no_cross_call_cache():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert top_level_caches(sources) == CACHE_ALLOWED
+
+
+def test_detector_sees_top_level_caches():
+    sources = {
+        "a": ("import functools\n"
+              "import functools as ft\n"
+              "from functools import lru_cache, cache as memo\n"
+              "@functools.lru_cache(maxsize=8)\n"
+              "def _table(n):\n"
+              "    return n\n"
+              "@memo\n"
+              "def aliased(n):\n"
+              "    return n\n"
+              "@ft.cache\n"
+              "def module_alias(n):\n"
+              "    return n\n"
+              "wrapped = lru_cache(None)(len)\n"
+              "def plain(n):\n"
+              "    @functools.cache\n"
+              "    def inner(k):\n"
+              "        return k\n"
+              "    return inner(n)\n"
+              "@functools.wraps(len)\n"
+              "def decorated(n):\n"
+              "    return n\n"),
+    }
+    assert top_level_caches(sources) == ["a._table", "a.aliased", "a.module_alias",
+                                         "a.wrapped"]

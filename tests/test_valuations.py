@@ -53,6 +53,21 @@ class TestFlipPermute:
         # contrast: permuting first would give (1, 0) flipped at 1 -> (0, 0)
         assert vf((0, 1)).permuted(swap).flipped({1}) == vf((0, 0))
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_pass_matches_flip_then_permute(self, m):
+        # the two-step definition: flip on the row, then reindex by psi
+        for g in all_language_elements(m):
+            for i, chi in all_marks(m):
+                row = g.flips.row(i)
+                expect = chi.flipped(row).permuted(g.psi)
+                assert flip_permute(chi, row, g.psi) == expect
+                assert g.act((i, chi)) == (g.psi(i), expect)
+
+    def test_sizes_must_agree(self):
+        with pytest.raises(InputError, match=r"^valuation of size 2 reindexed by a "
+                                             r"permutation of 1\.\.3$"):
+            flip_permute(vf((0, 1)), (), IndexPermutation.identity(3))
+
 
 class TestComposeInvert:
     def test_flip_composition_is_symmetric_difference(self):
